@@ -14,12 +14,12 @@ from .courant import (CourantAxiomReport, GeneralizedMetric,
                       eigenbundle_projections, generalized_metric,
                       milnor_su2_frame, neutral_pair, su2_frame,
                       su2_r_frame)
-from .geometry import (BianchiReport, ConnectionCoefficients,
-                       CurvatureTensor, DivergenceData, InvariantMetric,
+from .geometry import (BianchiReport, ConnectionCoefficients, Curvature,
+                       CurvatureTensor, DivergenceData,
                        bi_invariant_three_form, bianchi_suite,
                        bismut_connection, bismut_ricci, bismut_scalar,
-                       codifferential, covariant_derivative, divergence,
-                       generalized_ricci, generalized_scalar,
+                       codifferential, covariant_derivative, curvature,
+                       divergence, generalized_ricci, generalized_scalar,
                        generalized_scalar_pair, h_norm2, h_squared,
                        hopf_einstein_pair, levi_civita, ricci, riemann,
                        scalar_curvature, volume_three_form)

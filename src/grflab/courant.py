@@ -19,6 +19,7 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -410,14 +411,23 @@ def dorfman_invariant(frame: LieFrame, a: GeneralizedVector, b: GeneralizedVecto
     return GeneralizedVector(vec, cov)
 
 
+@functools.cache
+def _signed_permutations(k: int) -> tuple:
+    """(sign, permutation) of every permutation of range(k)."""
+    base = tuple(range(k))
+    return tuple((_perm_sign(base, perm), perm)
+                 for perm in itertools.permutations(base))
+
+
 def _alternate(T: np.ndarray) -> np.ndarray:
     """Full antisymmetrization (1/k!) sum_sigma sgn(sigma) T_sigma."""
-    k = T.ndim
     out = np.zeros_like(T)
-    for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(tuple(range(k)), perm)
-        out += sign * np.transpose(T, perm)
-    return out / math.factorial(k)
+    for sign, perm in _signed_permutations(T.ndim):
+        if sign > 0:
+            out += T.transpose(perm)
+        else:
+            out -= T.transpose(perm)
+    return out / math.factorial(T.ndim)
 
 
 def exterior_d_invariant(frame: LieFrame, form) -> np.ndarray:

@@ -88,26 +88,18 @@ class FlowConfig:
             raise ValueError("normalization coefficient must be -1, 0 or 1")
 
 
-def _rhs_with_diagnostics(frame: LieFrame, g: np.ndarray, H: np.ndarray, lam: int):
-    """(dg, dH, |Rm|_g) in one pass; raises FlowSingularity off the cone."""
+def _rhs_with_diagnostics(frame: LieFrame, g: np.ndarray, H: np.ndarray, lam: int,
+                          monitor: bool = False):
+    """(dg, dH, curvature) in one kernel pass; raises FlowSingularity off
+    the cone.  ``monitor`` adds the blowup monitor |Rm|_g."""
     try:
         np.linalg.cholesky(g)
     except np.linalg.LinAlgError as exc:
         raise FlowSingularity("metric lost positive definiteness") from exc
-    ginv = np.linalg.inv(g)
-    conn = geometry.levi_civita(frame, g)
-    rm = geometry.riemann(frame, g, conn)
-    rc = np.einsum("il,ijkl->jk", ginv, rm.lowered)
-    rc = 0.5 * (rc + rc.T)
-    h2 = geometry.h_squared(g, H)
-    dg = -2.0 * rc + 0.5 * h2 + lam * g
-    dstar = -np.tensordot(ginv, geometry.covariant_derivative(conn, H),
-                          axes=([0, 1], [0, 1]))
-    dH = -exterior_d_invariant(frame, dstar) + lam * H
-    # |Rm|_g = (R_{ijkl} R^{ijkl})^{1/2}, scale invariant blowup monitor
-    rm_up = np.einsum("ijkl,ia,jb,kc,ld->abcd", rm.lowered, ginv, ginv, ginv, ginv)
-    rm_norm = float(np.sqrt(abs(np.einsum("ijkl,ijkl->", rm.lowered, rm_up))))
-    return dg, dH, rm_norm
+    cv = geometry.curvature(frame, g, H, monitor)
+    dg = -2.0 * cv.ricci + 0.5 * cv.h2 + lam * g
+    dH = -exterior_d_invariant(frame, cv.dstar_h) + lam * H
+    return dg, dH, cv
 
 
 def grf_rhs(frame: LieFrame, state: FlowState, lam: int = 0):
@@ -117,14 +109,14 @@ def grf_rhs(frame: LieFrame, state: FlowState, lam: int = 0):
     -d(d*H) + lam*H, so an identically zero H has identically zero
     velocity and the H = 0 locus is preserved exactly.
     """
-    dg, dH, _ = _rhs_with_diagnostics(frame, state.g, state.H, lam)
-    return dg, dH
+    return _rhs_with_diagnostics(frame, state.g, state.H, lam)[:2]
 
 
 @dataclass
 class FlowTrajectory:
     """Recorded samples of one integrate() run plus the stop status.
 
+    A sample is t, g, H and that state's own rhs norm, R and |H|^2.
     status is one of "completed", "fixed_point", "metric_floor",
     "curvature_blowup", "nonfinite".
     """
@@ -134,6 +126,8 @@ class FlowTrajectory:
     metrics: list = field(default_factory=list)
     torsions: list = field(default_factory=list)
     rhs_norms: list = field(default_factory=list)
+    scalar_curvatures: list = field(default_factory=list)
+    h_norm2s: list = field(default_factory=list)
     status: str = "completed"
     detail: str = ""
     steps_taken: int = 0
@@ -143,8 +137,8 @@ class FlowTrajectory:
         return FlowState(self.metrics[-1], self.torsions[-1], self.times[-1])
 
     def lambda_series(self) -> np.ndarray:
-        return np.array([lambda_homogeneous(self.frame, g, H)
-                         for g, H in zip(self.metrics, self.torsions)])
+        """R - |H|^2 / 12 per sample, as :func:`lambda_homogeneous`."""
+        return np.array(self.scalar_curvatures) - np.array(self.h_norm2s) / 12.0
 
     def to_csv(self, path) -> None:
         """Write t, metric entries (i <= j), 3-form entries (i < j < k),
@@ -159,10 +153,9 @@ class FlowTrajectory:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
-            for t, g, H, rn in zip(self.times, self.metrics, self.torsions,
-                                   self.rhs_norms):
-                r = geometry.scalar_curvature(self.frame, g)
-                hn = geometry.h_norm2(g, H)
+            for t, g, H, rn, r, hn in zip(self.times, self.metrics, self.torsions,
+                                          self.rhs_norms, self.scalar_curvatures,
+                                          self.h_norm2s):
                 row = ([t] + [g[i, j] for i, j in gcols]
                        + [H[i, j, k] for i, j, k in hcols]
                        + [r, hn, r - hn / 12.0, rn])
@@ -175,18 +168,21 @@ def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTraj
     Stops early and flags the reason when the relative update falls below
     ``fixed_point_tol``, when min eig(g) drops below ``metric_floor``,
     when |Rm|_g exceeds ``curvature_cap`` or when values stop being
-    finite.  The last valid state is always the final recorded sample.
+    finite.  The last state reached is always the final recorded sample,
+    with its own diagnostics (NaN when it admits none).
     """
     g = state.g.copy()
     H = state.H.copy()
     t = state.t
     traj = FlowTrajectory(frame=frame)
 
-    def record(rhs_norm):
+    def record(rhs_norm, scalar, h_norm2):
         traj.times.append(t)
         traj.metrics.append(g.copy())
         traj.torsions.append(H.copy())
         traj.rhs_norms.append(rhs_norm)
+        traj.scalar_curvatures.append(scalar)
+        traj.h_norm2s.append(h_norm2)
 
     for step in range(config.steps):
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
@@ -198,17 +194,17 @@ def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTraj
             traj.detail = f"min eig {eigs[0]:.3e} at t = {t:.6g}"
             break
         try:
-            dg, dH, rm_norm = _rhs_with_diagnostics(frame, g, H, config.lam)
+            dg, dH, cv = _rhs_with_diagnostics(frame, g, H, config.lam, monitor=True)
         except FlowSingularity as exc:
             traj.status, traj.detail = "metric_floor", str(exc)
             break
-        if rm_norm > config.curvature_cap:
+        if cv.rm_norm > config.curvature_cap:
             traj.status = "curvature_blowup"
-            traj.detail = f"|Rm| = {rm_norm:.3e} at t = {t:.6g}"
+            traj.detail = f"|Rm| = {cv.rm_norm:.3e} at t = {t:.6g}"
             break
         rhs_norm = float(np.sqrt(np.sum(dg * dg) + np.sum(dH * dH)))
         if step % config.record_every == 0:
-            record(rhs_norm)
+            record(rhs_norm, cv.scalar, cv.h_norm2)
         state_scale = float(np.sqrt(np.sum(g * g) + np.sum(H * H)))
         if config.fixed_point_tol > 0 and rhs_norm <= config.fixed_point_tol * state_scale:
             traj.status = "fixed_point"
@@ -223,7 +219,7 @@ def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTraj
                 dt *= 0.5
                 halvings += 1
         try:
-            # classical RK4 on the stacked pair
+            # classical RK4 on the stacked pair; the monitor is read at k1 only
             k1g, k1h = dg, dH
             k2g, k2h, _ = _rhs_with_diagnostics(frame, g + 0.5 * dt * k1g,
                                                 H + 0.5 * dt * k1h, config.lam)
@@ -241,7 +237,15 @@ def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTraj
         traj.steps_taken += 1
 
     if not traj.times or traj.times[-1] != t:
-        record(traj.rhs_norms[-1] if traj.rhs_norms else float("nan"))
+        sample = (float("nan"),) * 3
+        if np.all(np.isfinite(g)) and np.all(np.isfinite(H)):
+            try:
+                dg, dH, cv = _rhs_with_diagnostics(frame, g, H, config.lam)
+                sample = (float(np.sqrt(np.sum(dg * dg) + np.sum(dH * dH))),
+                          cv.scalar, cv.h_norm2)
+            except FlowSingularity:
+                pass
+        record(*sample)
     return traj
 
 
@@ -339,11 +343,8 @@ def threefold_rhs(frame: LieFrame, g, phi: float):
     gm = np.asarray(g, dtype=float)
     if gm.shape != (3, 3):
         raise ValueError("the volume ansatz lives on a 3-dim frame")
-    rc = geometry.ricci(frame, gm)
-    r = float(np.einsum("jk,jk->", np.linalg.inv(gm), rc))
-    dg = -2.0 * rc + phi * phi * gm
-    dphi = r * phi - 1.5 * phi ** 3
-    return dg, dphi
+    cv = geometry.curvature(frame, gm)
+    return -2.0 * cv.ricci + phi * phi * gm, cv.scalar * phi - 1.5 * phi ** 3
 
 
 def circle_bundle_rhs(K: float, L: float, a: float = 1.0) -> np.ndarray:
@@ -392,8 +393,9 @@ def soliton_residual(frame: LieFrame, g, H, X=None, B: np.ndarray | None = None)
 
     lie = -(np.einsum("i,ijm,mk->jk", Xv, frame.c, gm)
             + np.einsum("i,ikm,jm->jk", Xv, frame.c, gm))
-    res1 = geometry.ricci(frame, gm) - 0.25 * geometry.h_squared(gm, Ha) + 0.5 * lie
-    res2 = 0.5 * (geometry.codifferential(frame, gm, Ha) - Bm)
+    cv = geometry.curvature(frame, gm, Ha)
+    res1 = cv.ricci - 0.25 * cv.h2 + 0.5 * lie
+    res2 = 0.5 * (cv.dstar_h - Bm)
     closure = exterior_d_invariant(frame, Bm + np.einsum("i,ijk->jk", Xv, Ha))
     return SolitonReport(
         metric_residual_max=float(np.max(np.abs(res1))),
@@ -405,6 +407,5 @@ def soliton_residual(frame: LieFrame, g, H, X=None, B: np.ndarray | None = None)
 def lambda_homogeneous(frame: LieFrame, g, H) -> float:
     """Lowest eigenvalue of the twisted Schroedinger operator on invariant
     data: constants are the ground state, so it is just R - |H|^2 / 12."""
-    gm = np.asarray(g, dtype=float)
-    return geometry.scalar_curvature(frame, gm) \
-        - geometry.h_norm2(gm, as_three_form_array(H)) / 12.0
+    cv = geometry.curvature(frame, g, as_three_form_array(H))
+    return cv.scalar - cv.h_norm2 / 12.0

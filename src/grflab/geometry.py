@@ -25,16 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .courant import (GeneralizedVector, LieFrame, ThreeForm, TwoForm,
-                      as_three_form_array, exterior_d_invariant,
-                      generalized_metric, su2_r_frame)
+from .courant import (LieFrame, ThreeForm, as_three_form_array,
+                      exterior_d_invariant, su2_r_frame)
 
 __all__ = [
-    "InvariantMetric",
     "ConnectionCoefficients",
     "CurvatureTensor",
+    "Curvature",
     "DivergenceData",
     "BianchiReport",
+    "curvature",
     "levi_civita",
     "riemann",
     "ricci",
@@ -56,32 +56,6 @@ __all__ = [
     "bi_invariant_three_form",
     "hopf_einstein_pair",
 ]
-
-
-def _metric_matrix(g) -> np.ndarray:
-    if isinstance(g, InvariantMetric):
-        return g.matrix
-    return np.asarray(g, dtype=float)
-
-
-@dataclass
-class InvariantMetric:
-    """Positive definite invariant metric, stored as its Gram matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if not np.allclose(self.matrix, self.matrix.T, atol=1e-12, rtol=0.0):
-            raise ValueError("metric must be symmetric")
-        try:
-            np.linalg.cholesky(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("metric must be positive definite") from exc
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass
@@ -108,22 +82,34 @@ class CurvatureTensor:
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.lowered)))
 
-    @property
-    def mixed_sup_norm(self) -> float:
-        return float(np.max(np.abs(self.mixed)))
+
+@dataclass
+class Curvature:
+    """Levi-Civita data of one state (frame, g, H), built by :func:`curvature`:
+    symmetrized Ricci, H2, d*H, R, |H|^2 (the H terms vanish without H) and
+    the blowup monitor |Rm|_g = (R_{ijkl} R^{ijkl})^{1/2}, NaN unless asked."""
+
+    connection: ConnectionCoefficients
+    rm: CurvatureTensor
+    ricci: np.ndarray
+    h2: np.ndarray
+    dstar_h: np.ndarray
+    scalar: float
+    h_norm2: float
+    rm_norm: float
 
 
-def levi_civita(frame: LieFrame, g) -> ConnectionCoefficients:
+def levi_civita(frame: LieFrame, g, ginv: np.ndarray | None = None) -> ConnectionCoefficients:
     """Koszul formula on an invariant frame.
 
     2 g(nabla_{e_i} e_j, e_k) = g([e_i,e_j],e_k) - g([e_j,e_k],e_i)
     + g([e_k,e_i],e_j); all inner products of frame fields are constant so
-    no derivative terms survive.
+    no derivative terms survive.  Pass ``ginv`` when g^{-1} is at hand.
     """
-    gm = _metric_matrix(g)
+    gm = np.asarray(g, dtype=float)
     cg = np.einsum("ijm,mk->ijk", frame.c, gm)
-    lower = 0.5 * (cg - np.einsum("jki->ijk", cg) + np.einsum("kij->ijk", cg))
-    ginv = np.linalg.inv(gm)
+    lower = 0.5 * (cg - cg.transpose(2, 0, 1) + cg.transpose(1, 2, 0))
+    ginv = np.linalg.inv(gm) if ginv is None else ginv
     return ConnectionCoefficients(np.einsum("ijl,lk->ijk", lower, ginv))
 
 
@@ -134,55 +120,90 @@ def riemann(frame: LieFrame, g, connection: ConnectionCoefficients | None = None
     which on an invariant frame is quadratic in the coefficients plus one
     structure-constant term.
     """
-    gm = _metric_matrix(g)
+    gm = np.asarray(g, dtype=float)
     if connection is None:
         connection = levi_civita(frame, gm)
     ga = connection.gamma
-    mixed = (np.einsum("iml,jkm->ijkl", ga, ga)
-             - np.einsum("jml,ikm->ijkl", ga, ga)
+    # the two quadratic terms are one contraction and its (i, j) swap
+    quad = np.einsum("iml,jkm->ijkl", ga, ga)
+    mixed = (quad - quad.transpose(1, 0, 2, 3)
              - np.einsum("ijm,mkl->ijkl", frame.c, ga))
     lowered = np.einsum("ijkm,ml->ijkl", mixed, gm)
     return CurvatureTensor(mixed, lowered)
 
 
 def connection_ricci(frame: LieFrame, g, connection: ConnectionCoefficients) -> np.ndarray:
-    """Ricci-type trace g^{il} R_{ijkl} of an arbitrary connection.
-
-    Not symmetrized: for a metric connection with torsion the trace picks
-    up a genuine antisymmetric part.
+    """Ricci-type trace g^{il} R_{ijkl} = R[i, j, k, i] of an arbitrary
+    connection.  Not symmetrized: for a metric connection with torsion the
+    trace picks up a genuine antisymmetric part.
     """
-    gm = _metric_matrix(g)
+    return np.einsum("ijki->jk", riemann(frame, g, connection).mixed)
+
+
+def _h_squared(ginv: np.ndarray, Ha: np.ndarray) -> np.ndarray:
+    """Symmetrized H2 from g^{-1}, raising one index per contraction."""
+    up = np.einsum("xij,ik->xkj", Ha, ginv)
+    up = np.einsum("xkj,jl->xkl", up, ginv)
+    out = np.einsum("xkl,ykl->xy", up, Ha)
+    return 0.5 * (out + out.T)
+
+
+def _codifferential(ginv: np.ndarray, gamma: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """d*T = -g^{il} (nabla_i T)_{l ...} expanded slot by slot, which costs
+    O(n^{k+1}) for a k-tensor where forming nabla T costs O(n^{k+2}): the
+    traced slot gives g^{il} Gamma[i, l, m] T[m, ...], slot s gives
+    Gamma[i, a_s, m] against T with its first index raised to i."""
+    rest = "abcdefgh"[:T.ndim - 1]  # the free slots a_2 .. a_k
+    out = np.einsum(f"m,m{rest}->{rest}", np.einsum("il,ilm->m", ginv, gamma), T)
+    raised = np.einsum(f"il,l{rest}->i{rest}", ginv, T)
+    for s, a in enumerate(rest):
+        out = out + np.einsum(f"i{a}m,i{rest[:s]}m{rest[s + 1:]}->{rest}", gamma, raised)
+    return out
+
+
+def curvature(frame: LieFrame, g, H: np.ndarray | None = None,
+              monitor: bool = False) -> Curvature:
+    """Every Levi-Civita quantity of the state (frame, g, H) from one g^{-1};
+    ``monitor`` adds |Rm|_g.  ``H`` is a totally antisymmetric array already
+    validated, e.g. by :func:`~grflab.courant.as_three_form_array`; omitted
+    means H = 0.  Contractions pair two operands and raise one index each.
+    """
+    gm = np.asarray(g, dtype=float)
     ginv = np.linalg.inv(gm)
-    rm = riemann(frame, gm, connection)
-    return np.einsum("il,ijkl->jk", ginv, rm.lowered)
+    conn = levi_civita(frame, gm, ginv)
+    rm = riemann(frame, gm, conn)
+    rc = np.einsum("ijki->jk", rm.mixed)       # as in connection_ricci
+    rc = 0.5 * (rc + rc.T)
+    h2 = np.zeros_like(gm) if H is None else _h_squared(ginv, H)
+    dstar = np.zeros_like(gm) if H is None else _codifferential(ginv, conn.gamma, H)
+    rm_norm = float("nan")
+    if monitor:
+        up = rm.mixed  # raise i, j, k in turn; the axes rotate to (l, i, j, k)
+        for _ in range(3):
+            up = np.einsum("ijkl,ia->jkla", up, ginv)
+        rm_norm = float(np.sqrt(abs(np.vdot(rm.lowered, up.transpose(1, 2, 3, 0)))))
+    return Curvature(conn, rm, rc, h2, dstar, float(np.vdot(ginv, rc)),
+                     float(np.vdot(ginv, h2)), rm_norm)
 
 
 def ricci(frame: LieFrame, g) -> np.ndarray:
     """Ricci curvature of the Levi-Civita connection (symmetric matrix)."""
-    rc = connection_ricci(frame, g, levi_civita(frame, g))
-    return 0.5 * (rc + rc.T)
+    return curvature(frame, g).ricci
 
 
 def scalar_curvature(frame: LieFrame, g) -> float:
-    gm = _metric_matrix(g)
-    return float(np.einsum("jk,jk->", np.linalg.inv(gm), ricci(frame, gm)))
+    return curvature(frame, g).scalar
 
 
 def h_squared(g, H) -> np.ndarray:
     """H2[x, y] = H[x,i,j] H[y,k,l] g^{ik} g^{jl} (full double contraction)."""
-    gm = _metric_matrix(g)
-    Ha = as_three_form_array(H)
-    ginv = np.linalg.inv(gm)
-    out = np.einsum("xij,ykl,ik,jl->xy", Ha, Ha, ginv, ginv)
-    return 0.5 * (out + out.T)
+    return _h_squared(np.linalg.inv(np.asarray(g, dtype=float)), as_three_form_array(H))
 
 
 def h_norm2(g, H) -> float:
-    """|H|^2 with all three index pairs contracted and no combinatorial factor."""
-    gm = _metric_matrix(g)
-    Ha = as_three_form_array(H)
-    ginv = np.linalg.inv(gm)
-    return float(np.einsum("ijk,abc,ia,jb,kc->", Ha, Ha, ginv, ginv, ginv))
+    """|H|^2 = g^{xy} H2[x, y]: all index pairs contracted, no 1/3! factor."""
+    ginv = np.linalg.inv(np.asarray(g, dtype=float))
+    return float(np.vdot(ginv, _h_squared(ginv, as_three_form_array(H))))
 
 
 def covariant_derivative(connection: ConnectionCoefficients, T) -> np.ndarray:
@@ -193,8 +214,7 @@ def covariant_derivative(connection: ConnectionCoefficients, T) -> np.ndarray:
     """
     Ta = np.asarray(T, dtype=float)
     ga = connection.gamma
-    n = ga.shape[0]
-    out = np.zeros((n,) + Ta.shape)
+    out = np.zeros(ga.shape[:1] + Ta.shape)
     for slot in range(Ta.ndim):
         moved = np.moveaxis(Ta, slot, 0)
         term = np.tensordot(ga, moved, axes=([2], [0]))  # (i, a_s, rest)
@@ -209,18 +229,15 @@ def codifferential(frame: LieFrame, g, T) -> np.ndarray:
     covariant tensor; for forms it agrees with the Hodge-star definition
     (-1)^{n(k+1)+1} * d * on an oriented frame.
     """
-    gm = _metric_matrix(g)
+    gm = np.asarray(g, dtype=float)
     Ta = as_three_form_array(T) if isinstance(T, ThreeForm) else np.asarray(T, dtype=float)
     ginv = np.linalg.inv(gm)
-    nt = covariant_derivative(levi_civita(frame, gm), Ta)
-    return -np.tensordot(ginv, nt, axes=([0, 1], [0, 1]))
+    return _codifferential(ginv, levi_civita(frame, gm, ginv).gamma, Ta)
 
 
 def divergence(frame: LieFrame, g, S) -> np.ndarray:
-    """(div S)_i = g^{jk} (nabla_j S)_{k i} for a 2-tensor S."""
-    gm = _metric_matrix(g)
-    nS = covariant_derivative(levi_civita(frame, gm), np.asarray(S, dtype=float))
-    return np.tensordot(np.linalg.inv(gm), nS, axes=([0, 1], [0, 1]))
+    """(div S)_i = g^{jk} (nabla_j S)_{k i} = -(d* S)_i for a 2-tensor S."""
+    return -codifferential(frame, g, S)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +249,10 @@ def bismut_connection(frame: LieFrame, g, H, sign: int = +1) -> ConnectionCoeffi
     g(nabla^{+/-}_X Y, Z) = g(nabla_X Y, Z) +/- H(X, Y, Z) / 2."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    gm = _metric_matrix(g)
-    Ha = as_three_form_array(H)
-    lc = levi_civita(frame, gm)
+    gm = np.asarray(g, dtype=float)
     ginv = np.linalg.inv(gm)
-    return ConnectionCoefficients(
-        lc.gamma + sign * 0.5 * np.einsum("kl,ijl->ijk", ginv, Ha))
+    return ConnectionCoefficients(levi_civita(frame, gm, ginv).gamma + sign * 0.5
+                                  * np.einsum("kl,ijl->ijk", ginv, as_three_form_array(H)))
 
 
 def _warn_if_not_closed(frame: LieFrame, Ha: np.ndarray, tol: float = 1e-10) -> None:
@@ -255,12 +270,11 @@ def bismut_ricci(frame: LieFrame, g, H, sign: int = +1, route: str = "formula") 
     traces the curvature of nabla^{+/-} directly.  The two must agree for
     closed H, which is what the tests pin down.
     """
-    gm = _metric_matrix(g)
+    gm = np.asarray(g, dtype=float)
     Ha = as_three_form_array(H)
     _warn_if_not_closed(frame, Ha)
     if route == "formula":
-        return ricci(frame, gm) - 0.25 * h_squared(gm, Ha) \
-            - sign * 0.5 * codifferential(frame, gm, Ha)
+        return generalized_ricci(frame, gm, Ha)[0 if sign > 0 else 1]
     if route == "curvature":
         return connection_ricci(frame, gm, bismut_connection(frame, gm, Ha, sign))
     raise ValueError(f"unknown route {route!r}")
@@ -268,8 +282,8 @@ def bismut_ricci(frame: LieFrame, g, H, sign: int = +1, route: str = "formula") 
 
 def bismut_scalar(frame: LieFrame, g, H) -> float:
     """Scalar trace of the Bismut Ricci: R - |H|^2 / 4."""
-    gm = _metric_matrix(g)
-    return scalar_curvature(frame, gm) - 0.25 * h_norm2(gm, as_three_form_array(H))
+    cv = curvature(frame, g, as_three_form_array(H))
+    return cv.scalar - 0.25 * cv.h_norm2
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +320,7 @@ def bianchi_suite(frame: LieFrame, g, H) -> BianchiReport:
     """
     if not frame.is_unimodular():
         raise ValueError("Bianchi suite needs a unimodular frame")
-    gm = _metric_matrix(g)
+    gm = np.asarray(g, dtype=float)
     Ha = as_three_form_array(H)
     _warn_if_not_closed(frame, Ha)
     ginv = np.linalg.inv(gm)
@@ -328,11 +342,10 @@ def bianchi_suite(frame: LieFrame, g, H) -> BianchiReport:
 
     first = float(np.max(np.abs(cyc(rp.mixed) - cyc(hh) - cyc(nh))))
 
-    h2 = h_squared(gm, Ha)
-    div_h2 = divergence(frame, gm, h2)
-    dstar = codifferential(frame, gm, Ha)
-    dstar_up = np.einsum("mn,am,bn->ab", dstar, ginv, ginv)
-    lemma = float(np.max(np.abs(div_h2 + np.einsum("ab,iab->i", dstar_up, Ha))))
+    cv = curvature(frame, gm, Ha)
+    dstar_up = np.einsum("mn,am,bn->ab", cv.dstar_h, ginv, ginv)
+    lemma = float(np.max(np.abs(divergence(frame, gm, cv.h2)
+                                + np.einsum("ab,iab->i", dstar_up, Ha))))
 
     return BianchiReport(
         first_bianchi_max=first,
@@ -352,8 +365,7 @@ class DivergenceData:
     two eigenbundles of a generalized metric.
 
     A closed 1-form phi yields (phi/2, -phi/2); a vector field e yields
-    (g(e,.)/2, g(e,.)/2).  Mixed cases come from splitting a generalized
-    vector through the eigenbundle projections.
+    (g(e,.)/2, g(e,.)/2).
     """
 
     phi_plus: np.ndarray
@@ -376,17 +388,8 @@ class DivergenceData:
 
     @classmethod
     def from_vector(cls, g, X) -> "DivergenceData":
-        flat = _metric_matrix(g) @ np.asarray(X, dtype=float)
+        flat = np.asarray(g, dtype=float) @ np.asarray(X, dtype=float)
         return cls(0.5 * flat, 0.5 * flat)
-
-    @classmethod
-    def from_section(cls, g, e: GeneralizedVector, b: TwoForm | None = None) -> "DivergenceData":
-        gm = _metric_matrix(g)
-        G = generalized_metric(gm, b)
-        Ge = G.apply(e)
-        plus = 0.5 * (e + Ge)
-        minus = 0.5 * (e - Ge)
-        return cls(gm @ plus.x, gm @ minus.x)
 
 
 def generalized_ricci(frame: LieFrame, g, H,
@@ -399,12 +402,11 @@ def generalized_ricci(frame: LieFrame, g, H,
     Returns (Rc^+, Rc^-).  Without divergence data both reduce to the
     Bismut Ricci traces.
     """
-    gm = _metric_matrix(g)
+    gm = np.asarray(g, dtype=float)
     Ha = as_three_form_array(H)
-    base = ricci(frame, gm) - 0.25 * h_squared(gm, Ha)
-    half_dstar = 0.5 * codifferential(frame, gm, Ha)
-    plus = base - half_dstar
-    minus = base + half_dstar
+    cv = curvature(frame, gm, Ha)
+    plus = cv.ricci - 0.25 * cv.h2 - 0.5 * cv.dstar_h
+    minus = cv.ricci - 0.25 * cv.h2 + 0.5 * cv.dstar_h
     if div is not None:
         plus = plus + covariant_derivative(
             bismut_connection(frame, gm, Ha, +1), div.phi_plus)
@@ -416,22 +418,18 @@ def generalized_ricci(frame: LieFrame, g, H,
 def generalized_scalar(frame: LieFrame, g, H, phi) -> float:
     """Scalar curvature of a closed pair (H closed, phi a closed 1-form):
 
-    S = R - |H|^2 / 12 - d* phi - |phi|^2 / 4.
+    S = R - |H|^2 / 12 - d* phi - |phi|^2 / 4,
 
-    Raises when phi fails to be closed; for non-closed divergence data use
+    which is S^+ - S^- of the divergence data (phi/2, -phi/2).  Raises when
+    phi fails to be closed; for non-closed divergence data use
     :func:`generalized_scalar_pair`.
     """
-    gm = _metric_matrix(g)
-    Ha = as_three_form_array(H)
     phi = np.asarray(phi, dtype=float)
-    dphi = exterior_d_invariant(frame, phi)
-    if np.max(np.abs(dphi)) > 1e-10:
+    if np.max(np.abs(exterior_d_invariant(frame, phi))) > 1e-10:
         raise ValueError("phi is not closed; the scalar curvature of a "
                          "closed pair is not defined for it")
-    ginv = np.linalg.inv(gm)
-    return (scalar_curvature(frame, gm) - h_norm2(gm, Ha) / 12.0
-            - float(codifferential(frame, gm, phi))
-            - 0.25 * float(phi @ ginv @ phi))
+    sp, sm = generalized_scalar_pair(frame, g, H, DivergenceData.from_covector(phi))
+    return sp - sm
 
 
 def generalized_scalar_pair(frame: LieFrame, g, H, div: DivergenceData):
@@ -441,10 +439,10 @@ def generalized_scalar_pair(frame: LieFrame, g, H, div: DivergenceData):
     For divergence data coming from a closed 1-form, S^+ - S^- recovers
     the closed-pair scalar curvature.
     """
-    gm = _metric_matrix(g)
-    Ha = as_three_form_array(H)
+    gm = np.asarray(g, dtype=float)
     ginv = np.linalg.inv(gm)
-    base = scalar_curvature(frame, gm) - h_norm2(gm, Ha) / 12.0
+    cv = curvature(frame, gm, as_three_form_array(H))
+    base = cv.scalar - cv.h_norm2 / 12.0
 
     def side(phi, sgn):
         dstar = float(codifferential(frame, gm, phi))
@@ -460,7 +458,7 @@ def generalized_scalar_pair(frame: LieFrame, g, H, div: DivergenceData):
 
 def volume_three_form(g) -> ThreeForm:
     """Volume form sqrt(det g) e^123 of an oriented 3-dim invariant metric."""
-    gm = _metric_matrix(g)
+    gm = np.asarray(g, dtype=float)
     if gm.shape != (3, 3):
         raise ValueError("volume 3-form needs a 3-dim metric")
     return ThreeForm.basis(3, 0, 1, 2, float(np.sqrt(np.linalg.det(gm))))
@@ -472,7 +470,7 @@ def bi_invariant_three_form(frame: LieFrame, g) -> ThreeForm:
     Total antisymmetry requires g to be bi-invariant; the constructor
     raises otherwise.
     """
-    comp = np.einsum("ijm,mk->ijk", frame.c, _metric_matrix(g))
+    comp = np.einsum("ijm,mk->ijk", frame.c, np.asarray(g, dtype=float))
     return ThreeForm(comp)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_3form, rand_spd
+from grflab import geometry
 from grflab.courant import ThreeForm, direct_sum_frame, milnor_su2_frame
 from grflab.flow import (FlowConfig, FlowSingularity, FlowState, grf_rhs,
                          circle_bundle_rhs, hyperbolic_ode_rhs, integrate,
@@ -131,6 +132,47 @@ def test_nonfinite_input_is_reported():
     g[0, 0] = np.nan
     traj = integrate(fr, FlowState(g), FlowConfig(dt=1e-3, steps=10))
     assert traj.status == "nonfinite"
+    # a state that admits no evaluation records NaN diagnostics
+    assert np.isnan(traj.rhs_norms[-1]) and np.isnan(traj.lambda_series()[-1])
+
+
+def test_final_sample_carries_its_own_diagnostics(tmp_path):
+    fr = milnor_su2_frame()
+    st = FlowState(np.diag([0.3, 0.5, 0.9]), ThreeForm.basis(3, 0, 1, 2, 1.0))
+    traj = integrate(fr, st, FlowConfig(dt=1e-2, steps=5))
+    assert traj.status == "completed" and len(traj.times) == 6
+    dg, dH = grf_rhs(fr, traj.final)
+    assert traj.rhs_norms[-1] == pytest.approx(
+        np.sqrt(np.sum(dg * dg) + np.sum(dH * dH)), rel=1e-14)
+    # the previous sample's value, 3.0141, used to be copied here
+    assert traj.rhs_norms[-1] == pytest.approx(2.4774, abs=1e-4)
+    assert traj.lambda_series()[-1] == pytest.approx(
+        lambda_homogeneous(fr, traj.final.g, traj.final.H), rel=1e-14)
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    header, *_, last = path.read_text().splitlines()
+    row = dict(zip(header.split(","), last.split(",")))
+    assert float(row["rhs_norm"]) == traj.rhs_norms[-1]
+
+
+def test_levi_civita_runs_once_per_rhs_and_never_in_post_processing(
+        tmp_path, monkeypatch):
+    calls = {"levi_civita": 0, "riemann": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(geometry, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(geometry, name, counted)
+    fr = milnor_su2_frame()
+    st = FlowState(np.diag([0.3, 0.5, 0.9]), ThreeForm.basis(3, 0, 1, 2, 1.0))
+    traj = integrate(fr, st, FlowConfig(dt=1e-2, steps=10))
+    # four RK stages per step, plus the final state's own diagnostics; each
+    # RHS evaluation forms the curvature exactly once
+    assert traj.steps_taken == 10
+    assert calls == {"levi_civita": 41, "riemann": 41}
+    traj.lambda_series()
+    traj.to_csv(tmp_path / "traj.csv")
+    assert calls == {"levi_civita": 41, "riemann": 41}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from grflab.courant import (ThreeForm, aff_r2_frame, direct_sum_frame,
 from grflab.geometry import (DivergenceData, bi_invariant_three_form,
                              bianchi_suite, bismut_connection, bismut_ricci,
                              bismut_scalar, codifferential,
-                             covariant_derivative, generalized_ricci,
+                             covariant_derivative, curvature, generalized_ricci,
                              generalized_scalar, generalized_scalar_pair,
                              h_norm2, h_squared, hopf_einstein_pair,
                              levi_civita, ricci, riemann, scalar_curvature,
@@ -65,6 +65,52 @@ def test_berger_sphere_curvature_hand_values():
     rc = ricci(fr, g)
     assert np.max(np.abs(rc - np.diag([0.0, 0.0, 8.0]))) < 1e-12
     assert scalar_curvature(fr, g) == pytest.approx(8.0 / 3.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass curvature kernel against the loop oracles
+# ---------------------------------------------------------------------------
+
+KERNEL_FRAMES = {3: milnor_su2_frame(), 4: su2_r_frame(),
+                 6: direct_sum_frame(milnor_su2_frame(), milnor_su2_frame()),
+                 8: direct_sum_frame(su2_r_frame(), su2_r_frame())}
+
+
+def closed_three_form(rng, fr):
+    """d of a random 2-form plus the volume form of the leading su(2) block."""
+    b = rng.standard_normal((fr.dim, fr.dim))
+    H = oracles.ce_differential(fr.c, b - b.T)
+    return H + ThreeForm.basis(fr.dim, 0, 1, 2, rng.uniform(-2.0, 2.0)).components
+
+
+def loop_rm_norm(c, g):
+    """|Rm|_g from the loop curvature, raising all four indices at once."""
+    ginv = np.linalg.inv(g)
+    low = np.einsum("ijkm,ml->ijkl",
+                    oracles.curvature(c, oracles.koszul_connection(c, g)), g)
+    up = np.einsum("ijkl,ia,jb,kc,ld->abcd", low, ginv, ginv, ginv, ginv,
+                   optimize=True)
+    return float(np.sqrt(abs(np.sum(low * up))))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6, 8])
+def test_curvature_kernel_matches_loop_oracles(rng, n):
+    fr = KERNEL_FRAMES[n]
+    g, H = rand_spd(rng, n), closed_three_form(rng, fr)
+    cv = curvature(fr, g, H, monitor=True)
+    assert np.max(np.abs(cv.ricci - oracles.ricci(fr.c, g))) < 1e-11
+    assert np.max(np.abs(cv.h2 - oracles.h_squared(g, H))) < 1e-10
+    assert np.max(np.abs(cv.dstar_h - oracles.codifferential_via_trace(
+        fr.c, g, H))) < 1e-11
+    assert cv.scalar == pytest.approx(oracles.scalar_curvature(fr.c, g), abs=1e-11)
+    assert cv.h_norm2 == pytest.approx(oracles.h_norm_squared(g, H), rel=1e-12)
+    assert cv.rm_norm == pytest.approx(loop_rm_norm(fr.c, g), rel=1e-12)
+
+    # without H the torsion terms vanish; without monitor |Rm| is not formed
+    bare = curvature(fr, g)
+    assert np.array_equal(bare.ricci, cv.ricci) and bare.scalar == cv.scalar
+    assert not bare.h2.any() and not bare.dstar_h.any() and bare.h_norm2 == 0.0
+    assert np.isnan(bare.rm_norm)
 
 
 # ---------------------------------------------------------------------------
