@@ -16,6 +16,82 @@ def sine_grid(amplitude, N=16, M=None):
 
 
 # ---------------------------------------------------------------------------
+# reference: the np.roll formulas and the RK2 loop as first written, kept
+# here so that the buffered kernel can be held to them bit for bit
+# ---------------------------------------------------------------------------
+
+def roll_second_difference(u, axis, period):
+    if u.shape[axis] == 1:
+        return np.zeros_like(u)
+    h = period / u.shape[axis]
+    return (np.roll(u, 1, axis=axis) + np.roll(u, -1, axis=axis) - 2.0 * u) / (h * h)
+
+
+def roll_check_positive(factor, floor, what):
+    if np.min(factor) <= floor:
+        node = tuple(int(k) for k in
+                     np.unravel_index(int(np.argmin(factor)), factor.shape))
+        raise PositivityError(
+            f"{what} = {float(factor[node]):.3e} <= {floor:.1e} at node {node}",
+            node=node, value=float(factor[node]))
+
+
+def roll_krf(u, period, floor=ADMISSIBILITY_FLOOR):
+    half_lap = 0.5 * (roll_second_difference(u, 0, period)
+                      + roll_second_difference(u, 1, period))
+    roll_check_positive(1.0 + half_lap, floor, "1 + lap(u)/2")
+    return np.log1p(half_lap)
+
+
+def roll_gkrf(u, period, floor=ADMISSIBILITY_FLOOR):
+    uxx = 0.5 * roll_second_difference(u, 0, period)
+    uyy = 0.5 * roll_second_difference(u, 1, period)
+    roll_check_positive(1.0 + uxx, floor, "1 + u_xx/2")
+    roll_check_positive(1.0 - uyy, floor, "1 - u_yy/2")
+    return np.log1p(uxx) - np.log1p(-uyy)
+
+
+def roll_integrate(u, period, dt, steps, rhs, stop_sup_rate=None):
+    """The list-based loop; it records the state it stops on twice."""
+    u = u.copy()
+    times, sups, infs, oscs = [], [], [], []
+    t = 0.0
+    for _ in range(steps):
+        rate = rhs(u, period)
+        times.append(t)
+        sups.append(float(np.max(rate)))
+        infs.append(float(np.min(rate)))
+        oscs.append(float(np.max(u) - np.min(u)))
+        if stop_sup_rate is not None and max(abs(sups[-1]), abs(infs[-1])) < stop_sup_rate:
+            break
+        mid = u + 0.5 * dt * rate
+        u = u + dt * rhs(mid, period)
+        t += dt
+    rate = rhs(u, period)
+    times.append(t)
+    sups.append(float(np.max(rate)))
+    infs.append(float(np.min(rate)))
+    oscs.append(float(np.max(u) - np.min(u)))
+    return [np.array(a) for a in (times, sups, infs, oscs)], u
+
+
+def outcome(fn, *args):
+    """An array, or (message, node, value) of the PositivityError raised."""
+    try:
+        return fn(*args)
+    except PositivityError as err:
+        return (str(err), err.node, err.value)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple), got
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+# ---------------------------------------------------------------------------
 # grids and difference operators
 # ---------------------------------------------------------------------------
 
@@ -59,6 +135,69 @@ def test_degenerate_axis_contributes_nothing():
     assert np.max(np.abs(second_difference(g, 1))) == 0.0
 
 
+SIZES = st.sampled_from([1] + list(range(8, 41)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(N=SIZES, M=SIZES, period=st.floats(0.5, 20.0),
+       amplitude=st.floats(0.0, 4.0), smooth=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stencil_and_rhs_bitwise_equal_to_roll_form(N, M, period, amplitude,
+                                                    smooth, seed):
+    if max(N, M) < 8:
+        return
+    rng = np.random.default_rng(seed)
+    if smooth:
+        g = PeriodicGrid.from_function(
+            lambda X, Y: amplitude * np.sin(X + rng.uniform(0, 7))
+            * np.cos(2 * Y + rng.uniform(0, 7)), N, M, period)
+    else:
+        g = PeriodicGrid(amplitude * rng.standard_normal((N, M)), period)
+    u = g.values
+    for axis in (0, 1):
+        assert np.array_equal(second_difference(g, axis),
+                              roll_second_difference(u, axis, period))
+    assert np.array_equal(laplacian(g), roll_second_difference(u, 0, period)
+                          + roll_second_difference(u, 1, period))
+    assert_same_outcome(outcome(krf_rhs, g), outcome(roll_krf, u, period))
+    assert_same_outcome(outcome(gkrf_rhs, g), outcome(roll_gkrf, u, period))
+
+
+def test_public_results_are_fresh_arrays():
+    g = sine_grid(0.1, 16)
+    before = g.values.copy()
+    results = [second_difference(g, 0), second_difference(g, 1), laplacian(g),
+               krf_rhs(g), gkrf_rhs(g)]
+    assert np.array_equal(g.values, before)
+    for i, a in enumerate(results):
+        assert not np.shares_memory(a, g.values)
+        for b in results[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("layout", ["transposed", "fortran", "strided", "int"])
+def test_values_normalized_to_c_contiguous_float(layout):
+    base = sine_grid(0.2, 24, 16).values
+    if layout == "transposed":
+        values = np.ascontiguousarray(base.T).T
+    elif layout == "fortran":
+        values = np.asfortranarray(base)
+    elif layout == "strided":
+        values = np.repeat(base, 2, axis=1)[:, ::2]
+    else:
+        values = np.rint(5.0 * base).astype(np.int64)
+        base = values.astype(float)
+    assert np.array_equal(values, base)
+    # a long period keeps the integer data admissible
+    g, ref = (PeriodicGrid(v, 200.0) for v in (values, np.array(base, order="C")))
+    assert g.values.flags.c_contiguous and g.values.dtype == np.float64
+    for axis in (0, 1):
+        assert np.array_equal(second_difference(g, axis),
+                              second_difference(ref, axis))
+    assert np.array_equal(krf_rhs(g), krf_rhs(ref))
+    assert np.array_equal(gkrf_rhs(g), gkrf_rhs(ref))
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------
@@ -80,6 +219,65 @@ def test_mixed_rhs_checks_both_factors():
         gkrf_rhs(sine_grid(3.0))
     rate = gkrf_rhs(sine_grid(0.1))
     assert np.all(np.isfinite(rate))
+
+
+def checkerboard(amplitude, N=16, M=16):
+    i, j = np.indices((N, M))
+    return PeriodicGrid(amplitude * (-1.0) ** (i + j))
+
+
+@pytest.mark.parametrize("grid, rhs, ref, what, node", [
+    # the minimum is tied on every even node; the first one is named
+    (checkerboard(1.0), krf_rhs, roll_krf, "1 + lap(u)/2", (0, 0)),
+    (checkerboard(1.0), gkrf_rhs, roll_gkrf, "1 + u_xx/2", (0, 0)),
+    # both factors fail on sine data; the x-factor is reported
+    (sine_grid(3.0), gkrf_rhs, roll_gkrf, "1 + u_xx/2", None),
+    # only the y-factor fails, tied on every odd column
+    (PeriodicGrid(np.tile((-1.0) ** np.arange(16), (16, 1))), gkrf_rhs,
+     roll_gkrf, "1 - u_yy/2", (0, 1)),
+    (sine_grid(3.0), krf_rhs, roll_krf, "1 + lap(u)/2", None),
+])
+def test_positivity_error_matches_roll_form(grid, rhs, ref, what, node):
+    with pytest.raises(PositivityError) as got:
+        rhs(grid)
+    with pytest.raises(PositivityError) as want:
+        ref(grid.values, grid.period)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(what)
+    assert (got.value.node, got.value.value) == (want.value.node, want.value.value)
+    if node is not None:
+        assert got.value.node == node
+
+
+@pytest.mark.parametrize("values, rhs, factor", [
+    (sine_grid(0.5).values, krf_rhs,
+     lambda u: 1.0 + 0.5 * (roll_second_difference(u, 0, DEFAULT_PERIOD)
+                            + roll_second_difference(u, 1, DEFAULT_PERIOD))),
+    (sine_grid(0.5).values, gkrf_rhs,
+     lambda u: 1.0 + 0.5 * roll_second_difference(u, 0, DEFAULT_PERIOD)),
+    (PeriodicGrid.from_function(lambda X, Y: 0.5 * np.sin(Y), 16).values, gkrf_rhs,
+     lambda u: 1.0 - 0.5 * roll_second_difference(u, 1, DEFAULT_PERIOD)),
+])
+def test_factor_exactly_at_floor_raises(values, rhs, factor):
+    lowest = float(np.min(factor(values)))
+    assert lowest < 1.0
+    with pytest.raises(PositivityError) as info:
+        rhs(PeriodicGrid(values), floor=lowest)
+    assert info.value.value == lowest
+    rhs(PeriodicGrid(values), floor=np.nextafter(lowest, -np.inf))
+
+
+@pytest.mark.parametrize("rhs, ref", [(krf_rhs, roll_krf), (gkrf_rhs, roll_gkrf)])
+def test_nan_input_behaves_as_roll_form(rhs, ref):
+    # a NaN hides the floor test, as np.min(factor) <= floor is then false
+    for amplitude in (0.1, 3.0):
+        values = sine_grid(amplitude).values
+        values[3, 5] = np.nan
+        with np.errstate(invalid="ignore"):
+            got = outcome(rhs, PeriodicGrid(values))
+            want = outcome(ref, values, DEFAULT_PERIOD)
+        assert_same_outcome(got, want)
+        assert np.isnan(got).sum() == np.isnan(want).sum() > 0
 
 
 def test_mixed_rhs_spectral_hand_value():
@@ -109,6 +307,70 @@ def test_default_step_size():
     assert traj.dt == pytest.approx(0.2 * g.h ** 2)
     assert traj.steps_taken == 5
     assert len(traj.times) == 6
+
+
+def both_rhs(grid):
+    # two kernels on one grid: inside pde_integrate they share its buffers
+    return 0.5 * (krf_rhs(grid) + gkrf_rhs(grid))
+
+
+def roll_both(u, period):
+    return 0.5 * (roll_krf(u, period) + roll_gkrf(u, period))
+
+
+@pytest.mark.parametrize("N, steps", [(16, 400), (64, 150)])
+@pytest.mark.parametrize("rhs, ref", [(krf_rhs, roll_krf), (gkrf_rhs, roll_gkrf),
+                                      (both_rhs, roll_both)])
+def test_integrate_bitwise_equal_to_roll_loop(N, steps, rhs, ref):
+    g = PeriodicGrid.from_function(
+        lambda X, Y: 0.1 * np.sin(X) * np.sin(Y) + 0.05 * np.cos(2 * Y), N)
+    traj = pde_integrate(g, steps=steps, rhs=rhs)
+    (times, sups, infs, oscs), final = roll_integrate(
+        g.values, g.period, traj.dt, steps, ref)
+    for got, want in ((traj.times, times), (traj.sup_rate, sups),
+                      (traj.inf_rate, infs), (traj.osc, oscs),
+                      (traj.final.values, final)):
+        assert np.array_equal(got, want)
+    assert traj.steps_taken == steps and not traj.stopped_early
+
+
+def test_stop_records_the_final_state_once():
+    # the list-based loop recorded the state it stopped on twice and paid
+    # one more right-hand side for it
+    g = sine_grid(0.1, 16)
+    calls = []
+
+    def counted(grid):
+        calls.append(1)
+        return krf_rhs(grid)
+
+    traj = pde_integrate(g, steps=4000, rhs=counted, stop_sup_rate=1e-8)
+    assert traj.stopped_early and traj.steps_taken == 530
+    assert len(traj.times) == len(traj.sup_rate) == len(traj.osc) == 531
+    assert traj.times[-1] > traj.times[-2]
+    assert traj.rhs_evals == len(calls) == 2 * traj.steps_taken + 1
+    (times, sups, infs, oscs), final = roll_integrate(
+        g.values, g.period, traj.dt, 4000, roll_krf, stop_sup_rate=1e-8)
+    assert times[-1] == times[-2] and len(times) == 532
+    for got, want in ((traj.times, times), (traj.sup_rate, sups),
+                      (traj.inf_rate, infs), (traj.osc, oscs)):
+        assert np.array_equal(got, want[:-1])
+    assert np.array_equal(traj.final.values, final)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_rhs_evals_count(steps):
+    traj = pde_integrate(sine_grid(0.1, 16), steps=steps, rhs=gkrf_rhs)
+    assert traj.steps_taken == steps and len(traj.times) == steps + 1
+    assert traj.rhs_evals == 2 * steps + 1
+
+
+def test_integrate_leaves_input_untouched():
+    g = sine_grid(0.1, 16)
+    before = g.values.copy()
+    traj = pde_integrate(g, steps=10)
+    assert np.array_equal(g.values, before)
+    assert not np.shares_memory(traj.final.values, g.values)
 
 
 def test_large_step_warns():
