@@ -16,18 +16,16 @@ parabolic step restriction dt ~ h^2.
 The stencil is bit-identical to the five-point ``np.roll`` form
 ``(roll(u, 1) + roll(u, -1) - 2u) / h^2`` but uses slice adds into
 buffers.  Buffer ownership: ``pde_integrate`` copies the input grid once
-and owns the state ``u``, the midpoint ``mid``, the monitor arrays and
-one stencil buffer pair (u_xx, u_yy).  It wraps ``u`` and ``mid`` in two
-``PeriodicGrid`` views whose private ``_stencil`` lends that pair to
-``krf_rhs`` / ``gkrf_rhs``, and updates ``mid`` and ``u`` in place; each
-right-hand side allocates only its result, which holds 2u while the
-stencils are formed.  A grid built by the caller has no ``_stencil``, so
-the public functions allocate their buffers per call and return fresh
-arrays that alias nothing.
+and owns the state ``u``, the midpoint ``mid``, the monitor arrays, one
+stencil buffer pair (u_xx, u_yy) and one rate array.  It wraps ``u`` and
+``mid`` in two ``PeriodicGrid`` views whose private ``_stencil`` lends
+them to ``krf_rhs`` / ``gkrf_rhs``; the rate array receives 2u, then the
+result, so a step allocates no array.  A grid built by the caller has no
+``_stencil``, so the public functions return fresh arrays.
 
-``lambda_eigen`` computes the lowest eigenpair of -4 lap + V by shifted
-inverse iteration with a Rayleigh-quotient refinement; the shift starts
-at min(V) - 1, a guaranteed lower bound for the spectrum.
+``lambda_eigen`` seeks the lowest eigenpair of -4 lap + V by shifted
+inverse iteration from the shift min(V) - 1, below the spectrum, with a
+Rayleigh-quotient refinement that can lock onto an excited state.
 """
 
 from __future__ import annotations
@@ -129,10 +127,9 @@ class _Stencil:
 
     Holds the buffers u_xx and u_yy and, per active axis, the slice views
     its adds read and write, so that an evaluation only calls ufuncs.
-    ``pde_integrate`` builds one per state array and lets them share the
-    buffers; a public call builds a throwaway one.  The caller passes the
-    array that receives 2u; the right-hand sides pass their result array,
-    which holds 2u until the stencils are done.
+    ``pde_integrate`` builds one per state array, lets them share the
+    buffers and lends its rate array through ``lent`` before each
+    right-hand side; a public call builds a throwaway one.
 
     The periodic sum u[i-1] + u[i+1] is one add over the interior plus one
     add for the two wrap-around lines: lines (0, n-1) take lines (n-1, n-2)
@@ -147,6 +144,7 @@ class _Stencil:
         u = np.ascontiguousarray(grid.values, dtype=float)
         self.u = u
         self.dxx, self.dyy = buffers or (np.empty_like(u), np.empty_like(u))
+        self.lent = None
         flat_u = u.reshape(-1)
         self.axes = []
         for axis, out in ((0, self.dxx), (1, self.dyy)):
@@ -163,13 +161,11 @@ class _Stencil:
             h = grid.spacing(axis)
             self.axes.append((out, adds, h * h))
 
-    def second_differences(self, two_u: np.ndarray,
-                           axes=(0, 1)) -> tuple[np.ndarray, np.ndarray]:
-        """(u_xx, u_yy) with (u[i-1] + u[i+1] - 2u) / h^2 along each of
-        ``axes``, zero along a degenerate axis; ``two_u`` receives 2u."""
+    def second_differences(self, two_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(u_xx, u_yy) with (u[i-1] + u[i+1] - 2u) / h^2 along each axis,
+        zero along a degenerate axis; ``two_u`` receives 2u."""
         np.multiply(self.u, 2.0, two_u)
-        for axis in axes:
-            out, adds, hh = self.axes[axis]
+        for out, adds, hh in self.axes:
             if adds is None:
                 out.fill(0.0)
                 continue
@@ -180,34 +176,25 @@ class _Stencil:
         return self.dxx, self.dyy
 
 
-def _second_differences(grid: PeriodicGrid,
-                        two_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u_xx, u_yy) in the buffers pde_integrate lent the grid, or in
-    fresh ones."""
-    return (grid._stencil or _Stencil(grid)).second_differences(two_u)
+def _second_differences(grid: PeriodicGrid):
+    """(out, u_xx, u_yy) in the arrays pde_integrate lent the grid, or in
+    fresh ones; ``out`` holds 2u.  A lent ``out`` is taken, not shared."""
+    stencil = grid._stencil or _Stencil(grid)
+    out, stencil.lent = stencil.lent, None
+    out = np.empty_like(grid.values) if out is None else out
+    return (out, *stencil.second_differences(out))
 
 
 def second_difference(grid: PeriodicGrid, axis: int) -> np.ndarray:
     """Periodic central second difference along one axis (zero when the
     axis is degenerate)."""
-    two_u = np.empty_like(grid.values)
-    return _Stencil(grid).second_differences(two_u, axes=(axis,))[axis]
+    return _second_differences(grid)[1 + axis]
 
 
 def laplacian(grid: PeriodicGrid) -> np.ndarray:
     """Five-point periodic Laplacian (degenerate axes contribute zero)."""
-    lap = np.empty_like(grid.values)
-    dxx, dyy = _second_differences(grid, lap)
+    lap, dxx, dyy = _second_differences(grid)
     return np.add(dxx, dyy, lap)
-
-
-def _check_positive(factor: np.ndarray, floor: float, what: str) -> None:
-    if np.min(factor) <= floor:
-        node = tuple(int(k) for k in
-                     np.unravel_index(int(np.argmin(factor)), factor.shape))
-        raise PositivityError(
-            f"{what} = {float(factor[node]):.3e} <= {floor:.1e} at node {node}",
-            node=node, value=float(factor[node]))
 
 
 def _check_one_plus(x: np.ndarray, floor: float, what: str) -> None:
@@ -217,14 +204,17 @@ def _check_one_plus(x: np.ndarray, floor: float, what: str) -> None:
     factor array is built only on the error path, to name the node.
     """
     if 1.0 + x.min() <= floor:
-        _check_positive(1.0 + x, floor, what)
+        factor = 1.0 + x
+        node = np.unravel_index(int(np.argmin(factor)), factor.shape)
+        node, value = tuple(int(k) for k in node), float(factor[node])
+        raise PositivityError(f"{what} = {value:.3e} <= {floor:.1e} at node {node}",
+                              node=node, value=value)
 
 
 def krf_rhs(grid: PeriodicGrid, floor: float = ADMISSIBILITY_FLOOR) -> np.ndarray:
     """du/dt = log(1 + lap(u) / 2); raises PositivityError off the
     admissible cone."""
-    rate = np.empty_like(grid.values)
-    dxx, dyy = _second_differences(grid, rate)
+    rate, dxx, dyy = _second_differences(grid)
     half_lap = np.multiply(np.add(dxx, dyy, dxx), 0.5, dxx)
     _check_one_plus(half_lap, floor, "1 + lap(u)/2")
     return np.log1p(half_lap, rate)
@@ -233,8 +223,7 @@ def krf_rhs(grid: PeriodicGrid, floor: float = ADMISSIBILITY_FLOOR) -> np.ndarra
 def gkrf_rhs(grid: PeriodicGrid, floor: float = ADMISSIBILITY_FLOOR) -> np.ndarray:
     """du/dt = log((1 + u_xx / 2) / (1 - u_yy / 2)) with both factors
     required positive."""
-    rate = np.empty_like(grid.values)
-    dxx, dyy = _second_differences(grid, rate)
+    rate, dxx, dyy = _second_differences(grid)
     uxx = np.multiply(dxx, 0.5, dxx)
     neg_uyy = np.multiply(dyy, -0.5, dyy)   # 1 - y == 1 + (-y) exactly
     _check_one_plus(uxx, floor, "1 + u_xx/2")
@@ -276,6 +265,9 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
     the final one included, is recorded once: sup and inf of the rate and
     the oscillation of u.  When ``stop_sup_rate`` is given the run ends
     as soon as sup |du/dt| falls below it.
+
+    The first kernel result in each call of ``rhs`` lands in an array the
+    integrator reuses, so it is valid only until the next call.
     """
     h = grid.min_active_spacing()
     if dt is None:
@@ -286,7 +278,7 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
         warnings.warn(f"dt = {dt:.3e} above the parabolic step bound "
                       f"h^2/4 = {0.25 * h * h:.3e}", stacklevel=2)
 
-    mid, dxx, dyy = (np.empty(grid.shape) for _ in range(3))
+    mid, dxx, dyy, rate_buffer = (np.empty(grid.shape) for _ in range(4))
     # u outlives the call as the final grid.  Allocating it after the work
     # buffers keeps the heap less fragmented: allocated first, it raised
     # the peak RSS of a long mixed torus run by up to 5 %.
@@ -297,29 +289,26 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
     times, sups, infs, oscs = (np.empty(max(steps, 0) + 1) for _ in range(4))
     half_dt = 0.5 * dt
     t = 0.0
-    stopped = False
     k = 0
-    rate = rhs(here)
     while True:
+        here._stencil.lent = rate_buffer   # the last rate is dead
+        rate = rhs(here)
         sup, inf = float(rate.max()), float(rate.min())
         times[k], sups[k], infs[k] = t, sup, inf
         oscs[k] = float(u.max() - u.min())
-        if k >= steps:
-            break
-        if stop_sup_rate is not None and max(abs(sup), abs(inf)) < stop_sup_rate:
-            stopped = True
+        if k >= steps or (stop_sup_rate is not None
+                          and max(abs(sup), abs(inf)) < stop_sup_rate):
             break
         np.add(u, np.multiply(rate, half_dt, mid), mid)
-        del rate   # freed before the midpoint rate is allocated
+        there._stencil.lent = rate_buffer
         np.add(u, np.multiply(rhs(there), dt, mid), u)
         t += dt
         k += 1
-        rate = rhs(here)
 
     n = k + 1
     return PdeTrajectory(
         times=times[:n], sup_rate=sups[:n], inf_rate=infs[:n], osc=oscs[:n],
-        final=grid.with_values(u), dt=dt, steps_taken=k, stopped_early=stopped,
+        final=grid.with_values(u), dt=dt, steps_taken=k, stopped_early=k < steps,
         rhs_evals=2 * k + 1)
 
 
@@ -327,42 +316,60 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
 # ground state of -4 lap + V
 # ---------------------------------------------------------------------------
 
-def _second_difference_matrix(n: int, h: float) -> sp.csr_matrix:
-    if n == 1:
-        return sp.csr_matrix((1, 1))
-    main = -2.0 * np.ones(n)
-    off = np.ones(n - 1)
-    m = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    m[0, n - 1] += 1.0
-    m[n - 1, 0] += 1.0
-    return (m / (h * h)).tocsr()
-
-
-def _operator_matrix(V: PeriodicGrid) -> sp.csr_matrix:
-    N, M = V.shape
-    d2x = _second_difference_matrix(N, V.spacing(0))
-    d2y = _second_difference_matrix(M, V.spacing(1))
-    lap = sp.kron(d2x, sp.identity(M)) + sp.kron(sp.identity(N), d2y)
-    return (-4.0 * lap + sp.diags(V.values.ravel())).tocsr()
+def _operator_matrix(V: PeriodicGrid) -> sp.csc_matrix:
+    """-4 lap + diag(V) as canonical CSC that stores every diagonal entry,
+    0.0 included, with the values of the Kronecker-sum form bit for bit:
+    per active axis 1/h^2 per neighbour and -2/h^2 on the diagonal."""
+    node = np.arange(V.values.size).reshape(V.shape)
+    rows, off, lap_diag = [node], [], 0.0
+    for axis in (0, 1):
+        if V.shape[axis] > 1:
+            hh = V.spacing(axis) * V.spacing(axis)
+            lap_diag = lap_diag + -2.0 / hh
+            rows += [np.roll(node, 1, axis), np.roll(node, -1, axis)]
+            off += 2 * [-4.0 * (1.0 / hh)]
+    # symmetric: column c holds row c and the rows of its neighbours
+    rows = np.stack([r.ravel() for r in rows], axis=1)
+    data = np.empty(rows.shape)
+    data[:, 0] = (-4.0 * lap_diag + V.values).ravel()
+    data[:, 1:] = off
+    order = np.argsort(rows, axis=1)
+    n, k = rows.shape
+    return sp.csc_matrix((np.take_along_axis(data, order, 1).ravel(),
+                          np.take_along_axis(rows, order, 1).ravel(),
+                          np.arange(0, n * k + 1, k)), shape=(n, n))
 
 
 def lambda_eigen(V: PeriodicGrid, tol: float = 1e-10,
                  max_iterations: int = 100):
-    """Lowest eigenpair of -4 lap + V on the periodic grid.
+    """Eigenpair of -4 lap + V on the periodic grid, meant to be the lowest.
 
     Shifted inverse iteration from the constant vector with initial shift
     min(V) - 1 (below the whole spectrum since -4 lap >= 0), switching to
-    Rayleigh-quotient shifts once the iterate settles.  Returns
-    (eigenvalue, ground_state_grid) with the ground state normalized to
-    unit l2 norm and nonnegative mean.
+    Rayleigh-quotient shifts once the iterate settles.  That switch can
+    return an excited state, which the benchmark counts as
+    ``pde.lambda_eigen.wrong``.  Returns (eigenvalue, eigenvector_grid),
+    the vector of unit l2 norm and nonnegative mean.
     """
-    A = _operator_matrix(V).tocsc()
+    A = _operator_matrix(V)
     n = A.shape[0]
-    ident = sp.identity(n, format="csc")
+    slots = np.flatnonzero(A.indices == np.repeat(np.arange(n), np.diff(A.indptr)))
+    shifted = A.copy()
+
+    def factor(shift):
+        # A - shift * I, stored as sparse subtraction stores it: splu
+        # depends on the stored entries, and a 0.0 result is dropped
+        shifted.data[slots] = diag = A.data[slots] - shift
+        if diag.all():
+            return spla.splu(shifted)
+        pruned = shifted.copy()
+        pruned.eliminate_zeros()
+        return spla.splu(pruned)
+
     sigma = float(np.min(V.values)) - 1.0
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = float(v @ (A @ v))
-    solver = spla.splu(A - sigma * ident)
+    solver = factor(sigma)
     for iteration in range(max_iterations):
         v = solver.solve(v)
         v /= np.linalg.norm(v)
@@ -373,9 +380,9 @@ def lambda_eigen(V: PeriodicGrid, tol: float = 1e-10,
         if iteration >= 2:
             # Rayleigh-quotient acceleration; jitter past exact shifts
             try:
-                solver = spla.splu(A - lam * ident)
+                solver = factor(lam)
             except RuntimeError:
-                solver = spla.splu(A - (lam + 1e-10) * ident)
+                solver = factor(lam + 1e-10)
     if v.sum() < 0:
         v = -v
     return lam, V.with_values(v.reshape(V.shape))

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 from grflab.pde import (ADMISSIBILITY_FLOOR, DEFAULT_PERIOD, PeriodicGrid,
-                        PositivityError, gkrf_rhs, grid_to_csv, krf_rhs,
-                        lambda_eigen, laplacian, pde_integrate,
-                        second_difference)
+                        PositivityError, _operator_matrix, gkrf_rhs,
+                        grid_to_csv, krf_rhs, lambda_eigen, laplacian,
+                        pde_integrate, second_difference)
 
 
 def sine_grid(amplitude, N=16, M=None):
@@ -451,3 +453,204 @@ def test_ground_state_shift_rule(c):
     lam0, _ = lambda_eigen(V)
     lam1, _ = lambda_eigen(V.with_values(V.values + c))
     assert lam1 - lam0 == pytest.approx(c, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# reference: the Kronecker-sum assembly and the solver as first written,
+# kept here so that the CSC assembly and the in-place diagonal shift can be
+# held to them bit for bit
+# ---------------------------------------------------------------------------
+
+def kron_second_difference_matrix(n, h):
+    if n == 1:
+        return sp.csr_matrix((1, 1))
+    main = -2.0 * np.ones(n)
+    off = np.ones(n - 1)
+    m = sp.diags([off, main, off], [-1, 0, 1], format="lil")
+    m[0, n - 1] += 1.0
+    m[n - 1, 0] += 1.0
+    return (m / (h * h)).tocsr()
+
+
+def kron_operator_matrix(V):
+    N, M = V.shape
+    d2x = kron_second_difference_matrix(N, V.spacing(0))
+    d2y = kron_second_difference_matrix(M, V.spacing(1))
+    lap = sp.kron(d2x, sp.identity(M)) + sp.kron(sp.identity(N), d2y)
+    return (-4.0 * lap + sp.diags(V.values.ravel())).tocsr()
+
+
+def kron_lambda_eigen(V, tol=1e-10, max_iterations=100):
+    A = kron_operator_matrix(V).tocsc()
+    n = A.shape[0]
+    ident = sp.identity(n, format="csc")
+    sigma = float(np.min(V.values)) - 1.0
+    v = np.full(n, 1.0 / np.sqrt(n))
+    lam = float(v @ (A @ v))
+    solver = spla.splu(A - sigma * ident)
+    for iteration in range(max_iterations):
+        v = solver.solve(v)
+        v /= np.linalg.norm(v)
+        lam = float(v @ (A @ v))
+        residual = float(np.linalg.norm(A @ v - lam * v))
+        if residual <= tol * max(1.0, abs(lam)):
+            break
+        if iteration >= 2:
+            try:
+                solver = spla.splu(A - lam * ident)
+            except RuntimeError:
+                solver = spla.splu(A - (lam + 1e-10) * ident)
+    if v.sum() < 0:
+        v = -v
+    return lam, v.reshape(V.shape)
+
+
+def potential(rng, family, shape, period):
+    """Random, cos-well and near-degenerate double-well potentials, as the
+    torus benchmark draws them, and ``huge`` random ones whose diagonal
+    shifts cancel to exactly 0.0."""
+    N, M = shape
+    X, Y = np.meshgrid(np.arange(N) * (period / N), np.arange(M) * (period / M),
+                       indexing="ij")
+    if family == "random":
+        return 10.0 ** rng.uniform(0.0, 3.0) * rng.uniform(-1.0, 1.0, shape)
+    if family == "huge":
+        return 10.0 ** rng.uniform(17.0, 19.0) * rng.uniform(-1.0, 1.0, shape)
+    if family == "cos_wells":
+        k, l = rng.integers(1, 4, 2)
+        p, q = rng.uniform(0.0, 2.0 * np.pi, 2)
+        return 10.0 ** rng.uniform(0.0, 2.0) * (np.cos(k * X + p) + np.cos(l * Y + q))
+    depth, width = 10.0 ** rng.uniform(1.0, 3.0), rng.uniform(0.4, 0.9)
+    eps = 10.0 ** rng.uniform(-6.0, -2.0)
+    c1 = rng.uniform(0.0, period, 2)
+
+    def well(c):
+        dx = np.angle(np.exp(1j * (X - c[0]) * 2.0 * np.pi / period))
+        dy = np.angle(np.exp(1j * (Y - c[1]) * 2.0 * np.pi / period))
+        return np.exp(-(dx * dx + dy * dy) / (width * width))
+
+    return -depth * (well(c1) + (1.0 + eps) * well(c1 + 0.5 * period))
+
+
+def cancel_diagonal(V, nodes):
+    """V with V_i = -(-4 lap)_ii at ``nodes``, so those diagonal entries of
+    -4 lap + V are exactly 0.0."""
+    lap4 = kron_operator_matrix(V.with_values(np.zeros(V.shape))).diagonal()
+    values = V.values.copy().ravel()
+    values[nodes] = -lap4[nodes]
+    return V.with_values(values.reshape(V.shape))
+
+
+GROUND_SHAPES = st.sampled_from([(8, 1), (1, 12), (16, 10), (8, 8), (12, 12),
+                                 (16, 16), (10, 24), (32, 32), (64, 64)])
+PERIODS = st.sampled_from([DEFAULT_PERIOD, 1.0, 9.5])
+
+
+def ground_grid(shape, period, family, seed, cancel):
+    rng = np.random.default_rng(seed)
+    V = PeriodicGrid(potential(rng, family, shape, period), period)
+    if cancel:
+        V = cancel_diagonal(V, rng.choice(V.values.size, 1 + V.values.size // 8,
+                                          replace=False))
+    return V
+
+
+def assert_same_csc(got, want):
+    assert got.format == want.format == "csc" and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(shape=GROUND_SHAPES, period=PERIODS,
+       family=st.sampled_from(["random", "cos_wells", "double_wells", "huge"]),
+       seed=st.integers(0, 2 ** 32 - 1), cancel=st.booleans())
+def test_csc_assembly_equals_kron_form(shape, period, family, seed, cancel):
+    V = ground_grid(shape, period, family, seed, cancel)
+    A = _operator_matrix(V)
+    n = V.values.size
+    assert A.has_canonical_format
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    assert np.count_nonzero(A.indices == rows) == n
+    pruned = A.copy()
+    pruned.eliminate_zeros()
+    assert_same_csc(pruned, kron_operator_matrix(V).tocsc())
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=GROUND_SHAPES, period=PERIODS,
+       family=st.sampled_from(["random", "cos_wells", "double_wells", "huge"]),
+       seed=st.integers(0, 2 ** 32 - 1), cancel=st.booleans())
+def test_ground_state_bitwise_equal_to_kron_solver(shape, period, family, seed,
+                                                   cancel):
+    V = ground_grid(shape, period, family, seed, cancel)
+    with np.errstate(all="ignore"):
+        lam, vec = lambda_eigen(V)
+        lam_ref, vec_ref = kron_lambda_eigen(V)
+    assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+    assert vec.values.tobytes() == vec_ref.tobytes()
+
+
+def test_zero_diagonal_entries_stay_stored_and_shifted():
+    # the sum drops a diagonal entry that is exactly 0.0; the solver must
+    # still shift it, as A - mu * I put -mu back
+    rng = np.random.default_rng(7)
+    V = cancel_diagonal(PeriodicGrid(rng.uniform(-1.0, 1.0, (8, 8))), [0, 9, 27, 63])
+    A = _operator_matrix(V)
+    kron = kron_operator_matrix(V)
+    assert np.count_nonzero(A.diagonal() == 0.0) == 4
+    assert A.nnz == 5 * 64 and kron.nnz == 5 * 64 - 4
+    lam, vec = lambda_eigen(V)
+    lam_ref, vec_ref = kron_lambda_eigen(V)
+    assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+    assert vec.values.tobytes() == vec_ref.tobytes()
+
+
+def test_shift_that_cancels_a_diagonal_entry_is_factorized_without_it(monkeypatch):
+    # with |V| near 1e18 a diagonal entry minus the first shift min(V) - 1
+    # is exactly 0.0; A - shift * I does not store it, and neither may the
+    # matrix handed to splu, whose result depends on the stored entries
+    stored = []
+    splu = spla.splu
+
+    def spy(A, *args, **kwargs):
+        stored.append(A.nnz)
+        return splu(A, *args, **kwargs)
+
+    V = PeriodicGrid(1e18 * np.random.default_rng(3).uniform(-1.0, 1.0, (8, 8)))
+    monkeypatch.setattr(spla, "splu", spy)
+    with np.errstate(all="ignore"):
+        lam, vec = lambda_eigen(V)
+        n_new = len(stored)
+        lam_ref, vec_ref = kron_lambda_eigen(V)
+    assert stored[0] == 5 * 64 - 1
+    assert stored[:n_new] == stored[n_new:]
+    assert np.float64(lam).tobytes() == np.float64(lam_ref).tobytes()
+    assert vec.values.tobytes() == vec_ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the integrator's reused rate array
+# ---------------------------------------------------------------------------
+
+def test_integrator_lends_one_rate_array_to_the_first_kernel():
+    first, second = [], []
+
+    def rhs(grid):
+        a = krf_rhs(grid)
+        b = gkrf_rhs(grid)
+        assert not np.shares_memory(a, b)
+        assert not np.shares_memory(a, grid.values)
+        first.append(a.__array_interface__["data"][0])
+        second.append(b)
+        return a
+
+    g = sine_grid(0.1, 16)
+    traj = pde_integrate(g, steps=5, rhs=rhs)
+    ref = pde_integrate(g, steps=5)
+    assert len(first) == 11 and len(set(first)) == 1
+    assert all(b.__array_interface__["data"][0] != first[0] for b in second)
+    assert not any(np.shares_memory(traj.final.values, b) for b in second)
+    for name in ("times", "sup_rate", "inf_rate", "osc"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name))
+    assert np.array_equal(traj.final.values, ref.final.values)
