@@ -91,7 +91,7 @@ def _scenario_sphere(p, outdir, rep):
     lam0, eta0, dt, T = p["lam0"], p["eta0"], p["dt"], p["T"]
     steps = int(round(T / dt))
     stop = (lambda t, y: y[0] < 0.05) if eta0 == 0.0 else None
-    ts, ys = flow.rk4_path(lambda t, y: np.array([flow.sphere_ode_rhs(y[0], eta0)]),
+    ts, ys = flow.rk4_path(lambda t, y: (flow.sphere_ode_rhs(y[0], eta0),),
                            [lam0], dt, steps, stop=stop)
     csvf = os.path.join(outdir, "trajectory.csv")
     with open(csvf, "w") as fh:
@@ -117,7 +117,7 @@ def _scenario_sphere(p, outdir, rep):
 
 def _scenario_hyperbolic(p, outdir, rep):
     lam0, dt, T = p["lam0"], p["dt"], p["T"]
-    ts, ys = flow.rk4_path(lambda t, y: np.array([flow.hyperbolic_ode_rhs(y[0])]),
+    ts, ys = flow.rk4_path(lambda t, y: (flow.hyperbolic_ode_rhs(y[0]),),
                            [lam0], dt, int(round(T / dt)))
     csvf = os.path.join(outdir, "trajectory.csv")
     with open(csvf, "w") as fh:
@@ -367,18 +367,18 @@ def _scenario_lambda_monotone(p, outdir, rep):
     frame = milnor_su2_frame()
     rows = []
     worst = -np.inf
+    h_two = ThreeForm.basis(3, 0, 1, 2, 2.0)
     for lam0 in (0.5, 3.0):
         ts, ys = flow.rk4_path(
-            lambda t, y: np.array([flow.sphere_ode_rhs(y[0], 2.0)]),
+            lambda t, y: (flow.sphere_ode_rhs(y[0], 2.0),),
             [lam0], dt, int(round(p["T"] / dt)))
-        lam_fun = [flow.lambda_homogeneous(
-            frame, s * np.eye(3), ThreeForm.basis(3, 0, 1, 2, 2.0).components)
-            for s in ys[:: int(p["stride"]), 0]]
+        lam_fun = [flow.lambda_homogeneous(frame, s * np.eye(3), h_two)
+                   for s in ys[:: int(p["stride"]), 0]]
         worst = max(worst, float(np.max(-np.diff(lam_fun))))
         rows.append((f"sphere_{lam0}", np.array(lam_fun)))
     ts, ys = flow.rk4_path(lambda t, y: flow.milnor_su2_rhs(y, 1.0),
                            [0.3, 0.5, 0.9], dt, int(round(p["T"] / dt)))
-    h3 = ThreeForm.basis(3, 0, 1, 2, 1.0).components
+    h3 = ThreeForm.basis(3, 0, 1, 2, 1.0)
     lam_fun = [flow.lambda_homogeneous(frame, np.diag(row), h3)
                for row in ys[:: int(p["stride"])]]
     worst = max(worst, float(np.max(-np.diff(lam_fun))))

@@ -53,8 +53,23 @@ __all__ = [
 _ANTISYM_TOL = 1e-12
 
 
+def _close(a, b, tol: float = _ANTISYM_TOL) -> bool:
+    """``np.allclose(a, b, atol=tol, rtol=0.0)``, decided by one
+    |a - b| <= tol pass whenever that pass holds.
+
+    For finite data isclose with rtol = 0 is exactly |a - b| <= atol, so
+    only inputs that fail the pass (inf, nan, real misfits) pay for
+    np.allclose, which then gives the verdict.  The first pass raises no
+    floating-point warnings.
+    """
+    with np.errstate(all="ignore"):
+        if (np.abs(a - b) <= tol).all():
+            return True
+    return bool(np.allclose(a, b, atol=tol, rtol=0.0))
+
+
 def _check_antisymmetric_pair(arr: np.ndarray, what: str) -> None:
-    if not np.allclose(arr, -np.swapaxes(arr, 0, 1), atol=_ANTISYM_TOL, rtol=0.0):
+    if not _close(arr, -np.swapaxes(arr, 0, 1)):
         raise ValueError(f"{what} must be antisymmetric in its first two indices")
 
 
@@ -153,7 +168,7 @@ class ThreeForm:
         if a.ndim != 3 or len(set(a.shape)) != 1:
             raise ValueError("a 3-form needs a cubic (n, n, n) array")
         for axes in ((1, 0, 2), (0, 2, 1)):
-            if not np.allclose(a, -a.transpose(axes), atol=_ANTISYM_TOL, rtol=0.0):
+            if not _close(a, -a.transpose(axes)):
                 raise ValueError("3-form components must be totally antisymmetric")
 
     @property
@@ -337,7 +352,7 @@ class GeneralizedMetric:
 
     def __post_init__(self):
         self.g = np.asarray(self.g, dtype=float)
-        if not np.allclose(self.g, self.g.T, atol=_ANTISYM_TOL, rtol=0.0):
+        if not _close(self.g, self.g.T):
             raise ValueError("metric must be symmetric")
         try:
             np.linalg.cholesky(self.g)
@@ -497,13 +512,14 @@ def courant_axiom_report(frame: LieFrame, H, sections,
     of constants is zero.  When dH != 0 the Jacobi residual is expected to
     be nonzero and the report flags that instead of failing.
     """
-    Ha = as_three_form_array(H) if H is not None else None
-    dh = exterior_d_invariant(frame, Ha if Ha is not None else np.zeros((frame.dim,) * 3))
+    if H is not None and not isinstance(H, ThreeForm):
+        H = ThreeForm(H)   # validated once, not in every bracket
+    dh = exterior_d_invariant(frame, H if H is not None else np.zeros((frame.dim,) * 3))
     dh_max = float(np.max(np.abs(dh)))
     h_closed = dh_max <= closed_tol
 
     def br(u, v):
-        return dorfman_invariant(frame, u, v, Ha)
+        return dorfman_invariant(frame, u, v, H)
 
     jac = 0.0
     pair = 0.0

@@ -14,6 +14,13 @@ Time stepping is classical fixed-step RK4 with optional step halving when
 the update would be large relative to the smallest eigenvalue of g.
 Integration stops early at numerical fixed points (relative update below
 tolerance) and at singularities (metric eigenvalue floor or curvature cap).
+
+The ansatz ODEs run through :func:`rk4_path` on tuples of Python floats:
+a right-hand side ``f(t, y)`` gets the state as a tuple and returns a
+sequence of the same length (``neck_ode_rhs``, ``milnor_su2_rhs`` and
+``circle_bundle_rhs`` return tuples).  :func:`rk4_step` is the one RK4
+formula; it repeats the operation order of the array form, so paths are
+bitwise equal to it, and ``rk4_path`` stores them in float64 arrays.
 """
 
 from __future__ import annotations
@@ -253,33 +260,67 @@ def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTraj
 # generic RK4 helpers for the ansatz ODE systems
 # ---------------------------------------------------------------------------
 
-def rk4_step(f, t: float, y: np.ndarray, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step for y' = f(t, y)."""
+def rk4_step(f, t: float, y: tuple, dt: float) -> tuple:
+    """One classical Runge-Kutta step for y' = f(t, y) on a tuple of floats.
+
+    ``f(t, y)`` gets every stage state as a tuple and may return any
+    sequence of ``len(y)`` floats; a result of another length raises
+    TypeError.  Each component takes the operations of the array form
+    y + (dt / 6) * (((k1 + 2 k2) + 2 k3) + k4) in that order, so the step
+    is bitwise equal to it.  Python float arithmetic raises
+    ZeroDivisionError or OverflowError where numpy would return inf.
+    """
+    n = len(y)
+    h = 0.5 * dt
     k1 = f(t, y)
-    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = f(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if len(k1) != n:
+        _wrong_length(k1, n)
+    k2 = f(t + h, tuple([a + h * b for a, b in zip(y, k1)]))
+    if len(k2) != n:
+        _wrong_length(k2, n)
+    k3 = f(t + h, tuple([a + h * b for a, b in zip(y, k2)]))
+    if len(k3) != n:
+        _wrong_length(k3, n)
+    k4 = f(t + dt, tuple([a + dt * b for a, b in zip(y, k3)]))
+    if len(k4) != n:
+        _wrong_length(k4, n)
+    s = dt / 6.0
+    return tuple([a + s * (((p + 2.0 * q) + 2.0 * r) + w)
+                  for a, p, q, r, w in zip(y, k1, k2, k3, k4)])
+
+
+def _wrong_length(k, n: int):
+    raise TypeError(f"right-hand side returned {len(k)} values for a state of {n}")
 
 
 def rk4_path(f, y0, dt: float, steps: int, t0: float = 0.0, stop=None):
-    """Integrate y' = f(t, y) and return (times, values) arrays.
+    """Integrate y' = f(t, y) with :func:`rk4_step`; return (times, values).
 
-    ``stop(t, y)`` is evaluated before every step; a truthy value ends
-    the path early.  values[m] is the state at times[m].
+    The state is a tuple of floats; ``f`` follows the contract of
+    :func:`rk4_step`.  ``stop(t, y)`` is evaluated before every step; a
+    truthy value ends the path early.  times has shape (m,) and values
+    (m, d), float64, and values[m] is the state at times[m].  A division
+    by zero or an overflow inside ``f`` raises FloatingPointError.
     """
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
-    ts = [t0]
-    ys = [y.copy()]
-    t = t0
-    for _ in range(steps):
-        if stop is not None and stop(t, y):
-            break
-        y = rk4_step(f, t, y, dt)
-        t += dt
-        ts.append(t)
-        ys.append(y.copy())
-    return np.array(ts), np.array(ys)
+    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    if y0.ndim != 1:
+        raise ValueError("y0 must be a scalar or a 1-d sequence")
+    y = tuple(y0.tolist())
+    ts = np.empty(max(steps, 0) + 1)
+    ys = np.empty((len(ts), len(y)))
+    t = ts[0] = t0
+    ys[0] = y
+    try:
+        for m in range(1, steps + 1):
+            if stop is not None and stop(t, y):
+                return ts[:m].copy(), ys[:m].copy()
+            y = rk4_step(f, t, y, dt)
+            t += dt
+            ts[m] = t
+            ys[m] = y
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise FloatingPointError(f"{exc} in the step from t = {t:.6g}") from exc
+    return ts, ys
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +341,17 @@ def hyperbolic_ode_rhs(lam: float) -> float:
     return 4.0
 
 
-def neck_ode_rhs(state) -> np.ndarray:
+def neck_ode_rhs(state) -> tuple:
     """Shrinking S^2 x S^1 neck, state = (phi, psi) = (sphere, circle) sizes.
 
     dphi/dt = -2 + 1 / (2 phi psi),  dpsi/dt = 1 / (2 phi^2).
     The sphere factor pinches in finite time while the circle grows.
     """
     phi, psi = state
-    return np.array([-2.0 + 0.5 / (phi * psi), 0.5 / (phi * phi)])
+    return (-2.0 + 0.5 / (phi * psi), 0.5 / (phi * phi))
 
 
-def milnor_su2_rhs(state, eta0: float = 1.0) -> np.ndarray:
+def milnor_su2_rhs(state, eta0: float = 1.0) -> tuple:
     """Diagonal left-invariant flow on SU(2) in the Milnor frame.
 
     g = diag(A, B, C) on the frame with [X_1, X_2] = -2 X_3 cyclic and
@@ -323,11 +364,9 @@ def milnor_su2_rhs(state, eta0: float = 1.0) -> np.ndarray:
     """
     A, B, C = state
     e2 = eta0 * eta0
-    return np.array([
-        (-4.0 * A * A + 4.0 * (B - C) ** 2 + e2) / (B * C),
-        (-4.0 * B * B + 4.0 * (C - A) ** 2 + e2) / (C * A),
-        (-4.0 * C * C + 4.0 * (A - B) ** 2 + e2) / (A * B),
-    ])
+    return ((-4.0 * A * A + 4.0 * (B - C) ** 2 + e2) / (B * C),
+            (-4.0 * B * B + 4.0 * (C - A) ** 2 + e2) / (C * A),
+            (-4.0 * C * C + 4.0 * (A - B) ** 2 + e2) / (A * B))
 
 
 def threefold_rhs(frame: LieFrame, g, phi: float):
@@ -347,7 +386,7 @@ def threefold_rhs(frame: LieFrame, g, phi: float):
     return -2.0 * cv.ricci + phi * phi * gm, cv.scalar * phi - 1.5 * phi ** 3
 
 
-def circle_bundle_rhs(K: float, L: float, a: float = 1.0) -> np.ndarray:
+def circle_bundle_rhs(K: float, L: float, a: float = 1.0) -> tuple:
     """Invariant circle bundle over the round 2-sphere, H = 0.
 
     g = K theta x theta + L g_{S^2} with connection form theta whose
@@ -357,7 +396,7 @@ def circle_bundle_rhs(K: float, L: float, a: float = 1.0) -> np.ndarray:
 
     a = 0 decouples the fiber (flat product); a = 1 is the Hopf bundle.
     """
-    return np.array([-a * a * K * K / (L * L), -2.0 + a * a * K / L])
+    return (-a * a * K * K / (L * L), -2.0 + a * a * K / L)
 
 
 # ---------------------------------------------------------------------------

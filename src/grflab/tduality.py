@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, textio
-from .courant import ThreeForm, su2_r_frame
+from .courant import ThreeForm, _close, su2_r_frame
 from .flow import circle_bundle_rhs, rk4_path
 
 __all__ = [
@@ -69,9 +69,9 @@ class CircleBundleData:
             raise ValueError("fiber metric entry must be positive")
         if self.g2.shape != (m, m) or self.b1.shape != (m,) or self.b2.shape != (m, m):
             raise ValueError("block shapes are inconsistent")
-        if not np.allclose(self.g2, self.g2.T, atol=1e-12, rtol=0.0):
+        if not _close(self.g2, self.g2.T):
             raise ValueError("base metric block must be symmetric")
-        if not np.allclose(self.b2, -self.b2.T, atol=1e-12, rtol=0.0):
+        if not _close(self.b2, -self.b2.T):
             raise ValueError("base b-field block must be antisymmetric")
         try:
             np.linalg.cholesky(self.assembled())
@@ -146,15 +146,14 @@ def dilaton_shift(phi, density: VerticalDensity, density_hat: VerticalDensity):
 # flow commutation on the Hopf circle bundle
 # ---------------------------------------------------------------------------
 
-def circle_bundle_dual_rhs(K_hat: float, L_hat: float, a: float = 1.0) -> np.ndarray:
+def circle_bundle_dual_rhs(K_hat: float, L_hat: float, a: float = 1.0) -> tuple:
     """Flow of the dualized circle bundle (fiber entry inverted):
 
     dK_hat/dt = a^2 / L_hat^2,   dL_hat/dt = -2 + a^2 / (K_hat L_hat).
 
     This is the exact pushforward of the primal system through K -> 1/K.
     """
-    return np.array([a * a / (L_hat * L_hat),
-                     -2.0 + a * a / (K_hat * L_hat)])
+    return (a * a / (L_hat * L_hat), -2.0 + a * a / (K_hat * L_hat))
 
 
 @dataclass
@@ -193,10 +192,10 @@ def flow_commutation_check(K0: float, L0: float, dt: float, T: float,
     """
     steps = int(round(T / dt))
     ts, primal = rk4_path(lambda t, y: circle_bundle_rhs(y[0], y[1], a),
-                          np.array([K0, L0]), dt, steps)
+                          (K0, L0), dt, steps)
     dual0 = buscher_dual(_fiber_data(K0, L0))
     ts2, dual = rk4_path(lambda t, y: circle_bundle_dual_rhs(y[0], y[1], a),
-                         np.array([dual0.g0, dual0.g2[0, 0]]), dt, steps)
+                         (dual0.g0, dual0.g2[0, 0]), dt, steps)
     direct = np.empty_like(primal)
     for i in range(primal.shape[0]):
         d = buscher_dual(_fiber_data(primal[i, 0], primal[i, 1]))

@@ -19,3 +19,19 @@ def rand_3form(rng, n, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def three_form_checks(monkeypatch):
+    """A one-element list counting ThreeForm validations while the test runs."""
+    from grflab.courant import ThreeForm
+
+    calls = [0]
+    check = ThreeForm.__post_init__
+
+    def counted(self):
+        calls[0] += 1
+        check(self)
+
+    monkeypatch.setattr(ThreeForm, "__post_init__", counted)
+    return calls

@@ -94,3 +94,9 @@ def test_gnuplot_script_references_csv(tmp_path):
     script = (tmp_path / "su2-milnor" / "plot_su2_milnor.gp").read_text()
     assert "trajectory.csv" in script
     assert os.path.exists(tmp_path / "su2-milnor" / "trajectory.csv")
+
+
+def test_lambda_monotone_builds_each_three_form_once(tmp_path, three_form_checks):
+    rep = run_scenario("lambda-monotone", {"T": 0.2}, str(tmp_path))
+    assert rep.passed
+    assert three_form_checks[0] == 2   # one 3-form for the round runs, one for Milnor

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import rand_3form
+from grflab import courant
 from grflab.courant import (GeneralizedVector, LieFrame, ThreeForm, TwoForm,
                             aff_r2_frame, abelian_frame, b_field_transform,
                             courant_axiom_report, direct_sum_frame,
@@ -121,6 +123,57 @@ def test_three_form_validation():
     assert H.components[0, 1, 2] == 2.0
     assert H.components[1, 0, 2] == -2.0
     assert H.components[2, 0, 1] == 2.0
+
+
+# near-equal pairs: a base array plus tiny offsets, with inf, nan, empty
+# shapes and broadcasting among the draws
+_cells = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-12, -1e-12, 1e308, -1e308]))
+_offsets = st.one_of(st.just(0.0), st.floats(-3e-12, 3e-12),
+                     st.sampled_from([np.inf, np.nan, 1.0, 5e-324]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(),
+       shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+       tol=st.sampled_from([0.0, 1e-12, 2.5e-12, 1e-6, 1e300]))
+def test_close_gives_the_verdict_of_allclose(data, shape, tol):
+    a = data.draw(hnp.arrays(np.float64, shape, elements=_cells))
+    offset = data.draw(hnp.arrays(np.float64, shape, elements=_offsets))
+    with np.errstate(all="ignore"):
+        b = a + offset
+    if data.draw(st.booleans()) and a.ndim:
+        b = b[..., :1]     # a last side of at most 1 broadcasts against a
+    with np.errstate(all="ignore"):
+        want = bool(np.allclose(a, b, atol=tol, rtol=0.0))
+        assert courant._close(a, b, tol) is want
+
+
+def test_close_edge_cases():
+    empty = np.zeros((0, 3))
+    assert courant._close(empty, empty) is True
+    inf = np.array([np.inf, -np.inf])
+    assert courant._close(inf, inf) is True                    # equal infinities
+    assert courant._close(inf, -inf) is False
+    nan = np.array([np.nan])
+    assert courant._close(nan, nan) is False
+    assert courant._close(np.zeros(2), np.full(2, 1e-12)) is True
+    assert courant._close(np.zeros(2), np.full(2, 2e-12)) is False
+
+
+def test_axiom_report_validates_the_three_form_once(rng, three_form_checks):
+    fr = su2_r_frame()
+    sections = [GeneralizedVector(rng.standard_normal(4), rng.standard_normal(4))
+                for _ in range(3)]
+    H = ThreeForm.basis(4, 0, 1, 2, -2.0)
+    three_form_checks[0] = 0
+    from_form = courant_axiom_report(fr, H, sections)
+    assert three_form_checks[0] == 0
+    from_array = courant_axiom_report(fr, H.components, sections)
+    assert three_form_checks[0] == 1
+    assert from_form == from_array
+    with pytest.raises(ValueError):
+        courant_axiom_report(fr, np.ones((4, 4, 4)), sections)
 
 
 @settings(max_examples=40, deadline=None)

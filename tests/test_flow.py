@@ -1,8 +1,12 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_3form, rand_spd
-from grflab import geometry
+from grflab import cli, flow, geometry, tduality
 from grflab.courant import ThreeForm, direct_sum_frame, milnor_su2_frame
 from grflab.flow import (FlowConfig, FlowSingularity, FlowState, grf_rhs,
                          circle_bundle_rhs, hyperbolic_ode_rhs, integrate,
@@ -198,6 +202,226 @@ def test_rk4_path_stop_condition():
     assert ys[-1, 0] < 0.55
     assert len(ts) == len(ys)
     assert len(ts) < 101
+
+
+# The ndarray RK4 and the array-returning ansatz helpers as they were before
+# the ODE paths moved to tuples of floats, frozen as the parity reference.
+
+def frozen_rk4_step(f, t, y, dt):
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * dt, y + 0.5 * dt * k1)
+    k3 = f(t + 0.5 * dt, y + 0.5 * dt * k2)
+    k4 = f(t + dt, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def frozen_rk4_path(f, y0, dt, steps, t0=0.0, stop=None):
+    y = np.atleast_1d(np.asarray(y0, dtype=float))
+    ts = [t0]
+    ys = [y.copy()]
+    t = t0
+    for _ in range(steps):
+        if stop is not None and stop(t, y):
+            break
+        y = frozen_rk4_step(f, t, y, dt)
+        t += dt
+        ts.append(t)
+        ys.append(y.copy())
+    return np.array(ts), np.array(ys)
+
+
+def frozen_neck_ode_rhs(state):
+    phi, psi = state
+    return np.array([-2.0 + 0.5 / (phi * psi), 0.5 / (phi * phi)])
+
+
+def frozen_milnor_su2_rhs(state, eta0=1.0):
+    A, B, C = state
+    e2 = eta0 * eta0
+    return np.array([
+        (-4.0 * A * A + 4.0 * (B - C) ** 2 + e2) / (B * C),
+        (-4.0 * B * B + 4.0 * (C - A) ** 2 + e2) / (C * A),
+        (-4.0 * C * C + 4.0 * (A - B) ** 2 + e2) / (A * B),
+    ])
+
+
+def frozen_circle_bundle_rhs(K, L, a=1.0):
+    return np.array([-a * a * K * K / (L * L), -2.0 + a * a * K / L])
+
+
+def frozen_circle_bundle_dual_rhs(K_hat, L_hat, a=1.0):
+    return np.array([a * a / (L_hat * L_hat),
+                     -2.0 + a * a / (K_hat * L_hat)])
+
+
+# name -> (dimension, new right-hand side, frozen right-hand side); the
+# sphere and hyperbolic rows are the CLI lambdas before and after
+ODE_PAIRS = {
+    "sphere": (1, lambda eta: lambda t, y: (sphere_ode_rhs(y[0], eta),),
+               lambda eta: lambda t, y: np.array([sphere_ode_rhs(y[0], eta)])),
+    "hyperbolic": (1, lambda eta: lambda t, y: (hyperbolic_ode_rhs(y[0]),),
+                   lambda eta: lambda t, y: np.array([hyperbolic_ode_rhs(y[0])])),
+    "neck": (2, lambda eta: lambda t, y: neck_ode_rhs(y),
+             lambda eta: lambda t, y: frozen_neck_ode_rhs(y)),
+    "milnor": (3, lambda eta: lambda t, y: milnor_su2_rhs(y, eta),
+               lambda eta: lambda t, y: frozen_milnor_su2_rhs(y, eta)),
+    "circle_bundle": (2, lambda eta: lambda t, y: circle_bundle_rhs(y[0], y[1], eta),
+                      lambda eta: lambda t, y: frozen_circle_bundle_rhs(y[0], y[1], eta)),
+    "circle_bundle_dual": (
+        2, lambda eta: lambda t, y: tduality.circle_bundle_dual_rhs(y[0], y[1], eta),
+        lambda eta: lambda t, y: frozen_circle_bundle_dual_rhs(y[0], y[1], eta)),
+}
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(ODE_PAIRS)),
+       y0=st.lists(st.floats(0.8, 2.0), min_size=3, max_size=3),
+       steps=st.integers(-2, 30), data=st.data(),
+       t0=st.floats(-5.0, 5.0), eta=st.floats(0.0, 2.0),
+       drop=st.one_of(st.none(), st.floats(0.0, 0.02)))
+def test_tuple_path_is_bitwise_equal_to_the_array_path(name, y0, steps, data, t0,
+                                                       eta, drop):
+    d, new, old = ODE_PAIRS[name]
+    y0 = y0[:d]
+    # a horizon of at most 0.1 keeps every path inside the smooth region of
+    # data >= 0.8; with a stop the path ends once the first component has
+    # moved by ``drop``
+    dt = data.draw(st.floats(1e-5, 0.1 / max(steps, 1)), label="dt")
+    stop = None if drop is None else (lambda t, y: abs(y[0] - y0[0]) > drop)
+    ts, ys = rk4_path(new(eta), y0, dt, steps, t0=t0, stop=stop)
+    ts_ref, ys_ref = frozen_rk4_path(old(eta), y0, dt, steps, t0=t0, stop=stop)
+    assert np.all(np.isfinite(ys_ref))
+    assert_bitwise_equal(ts, ts_ref)
+    assert_bitwise_equal(ys, ys_ref)
+
+
+def _stiff(t, v):
+    # large stage values that only + - * / produce, so every rounding of
+    # the RK4 combination shows in the step
+    return 1e3 * v * v - 7.0 * t / v + 3.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(st.one_of(st.floats(-10.0, -0.5), st.floats(0.5, 10.0)),
+                  min_size=1, max_size=4),
+       t=st.floats(-3.0, 3.0), dt=st.floats(1e-6, 1e-2))
+def test_rk4_step_is_bitwise_equal_to_the_array_step(y, t, dt):
+    got = rk4_step(lambda s, z: tuple([_stiff(s, v) for v in z]), t, tuple(y), dt)
+    want = frozen_rk4_step(lambda s, z: np.array([_stiff(s, v) for v in z]),
+                           t, np.array(y), dt)
+    assert np.array(got).tobytes() == want.tobytes()
+
+
+def test_ansatz_helpers_return_tuples():
+    for value in (neck_ode_rhs((1.0, 1.0)), milnor_su2_rhs((0.3, 0.5, 0.9)),
+                  circle_bundle_rhs(1.0, 1.0),
+                  tduality.circle_bundle_dual_rhs(1.0, 1.0)):
+        assert isinstance(value, tuple)
+        assert all(isinstance(v, float) for v in value)
+
+
+def test_rk4_step_passes_tuples_and_calls_f_four_times():
+    seen = []
+
+    def f(t, y):
+        seen.append(y)
+        return [-v for v in y]
+
+    y = rk4_step(f, 0.0, (1.0, 2.0), 0.1)
+    assert isinstance(y, tuple) and len(y) == 2
+    assert len(seen) == 4
+    assert all(isinstance(s, tuple) and len(s) == 2 for s in seen)
+
+
+@pytest.mark.parametrize("rhs", [lambda t, y: 2 * y,       # doubles a tuple
+                                 lambda t, y: -y,          # no tuple negation
+                                 lambda t, y: y[:1],
+                                 lambda t, y: (1.0,) * (3 if t > 0 else 2)])
+def test_wrong_length_right_hand_side_is_a_type_error(rhs):
+    with pytest.raises(TypeError):
+        rk4_path(rhs, [1.0, 2.0], 0.1, 3)
+
+
+@pytest.mark.parametrize("stage", [1, 2, 3, 4])
+@pytest.mark.parametrize("length", [1, 3])
+def test_each_stage_checks_the_length_of_its_result(stage, length):
+    calls = [0]
+
+    def rhs(t, y):
+        a, b = y      # a short stage state would fail here with ValueError
+        calls[0] += 1
+        return (a, b, a)[:length] if calls[0] == stage else (-a, -b)
+
+    with pytest.raises(TypeError, match=f"returned {length} values for a state of 2"):
+        rk4_path(rhs, [1.0, 2.0], 0.1, 1)
+
+
+def test_division_by_zero_and_overflow_are_floating_point_errors():
+    with pytest.raises(FloatingPointError, match="t = 0"):
+        rk4_path(lambda t, y: (1.0 / y[0],), [0.0], 0.1, 3)
+    with pytest.raises(FloatingPointError):
+        rk4_path(lambda t, y: (y[0] ** 3,), [1e200], 0.1, 3)
+
+
+def test_rk4_path_returns_float_arrays_and_trims_a_stopped_path():
+    ts, ys = rk4_path(lambda t, y: (1.0,), 2.0, 0.5, 10,
+                      stop=lambda t, y: t >= 1.0)
+    assert ts.dtype == ys.dtype == np.float64
+    assert ts.tolist() == [0.0, 0.5, 1.0]
+    assert ys.tolist() == [[2.0], [2.5], [3.0]]
+    assert ts.base is None and ys.base is None
+    with pytest.raises(ValueError):
+        rk4_path(lambda t, y: y, np.eye(2), 0.1, 1)
+
+
+# every ODE scenario at a short horizon; sphere runs torsion free (with its
+# stop) and with torsion
+ODE_SCENARIOS = [
+    ("sphere", {"eta0": 0.0, "T": 0.3}),
+    ("sphere", {"eta0": 2.0, "T": 0.3}),
+    ("hyperbolic", {"T": 0.5}),
+    ("neck", {"max_steps": 3000}),
+    ("su2-milnor", {"T": 0.5}),
+    ("hopf-rym", {"T": 0.1}),
+    ("hopf-tduality", {"T": 0.1}),
+    ("lambda-monotone", {"T": 0.3}),
+]
+
+
+def _scenario_files(name, overrides, root):
+    cli.run_scenario(name, overrides, str(root))
+    outdir = root / name
+    return {f: (outdir / f).read_bytes() for f in sorted(os.listdir(outdir))
+            if f != "report.txt"}    # report.txt holds the wall time
+
+
+@pytest.mark.parametrize("name,overrides", ODE_SCENARIOS)
+def test_scenario_outputs_are_byte_identical_to_the_array_path(name, overrides,
+                                                               tmp_path, monkeypatch):
+    files = _scenario_files(name, overrides, tmp_path / "tuple")
+
+    def array_path(f, y0, dt, steps, t0=0.0, stop=None):
+        # what the CLI lambdas returned before: arrays of their values
+        return frozen_rk4_path(lambda t, y: np.asarray(f(t, y), dtype=float),
+                               y0, dt, steps, t0=t0, stop=stop)
+
+    for module, attr, value in (
+            (flow, "rk4_path", array_path), (tduality, "rk4_path", array_path),
+            (flow, "neck_ode_rhs", frozen_neck_ode_rhs),
+            (flow, "milnor_su2_rhs", frozen_milnor_su2_rhs),
+            (flow, "circle_bundle_rhs", frozen_circle_bundle_rhs),
+            (tduality, "circle_bundle_rhs", frozen_circle_bundle_rhs),
+            (tduality, "circle_bundle_dual_rhs", frozen_circle_bundle_dual_rhs)):
+        monkeypatch.setattr(module, attr, value)
+    reference = _scenario_files(name, overrides, tmp_path / "array")
+    assert any(f.endswith(".csv") for f in files)
+    assert files == reference
 
 
 # ---------------------------------------------------------------------------
