@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import flow, geometry, pde, tduality
+from . import flow, geometry, pde, tduality, textio
 from .courant import (GeneralizedVector, ThreeForm, aff_r2_frame,
                       courant_axiom_report, direct_sum_frame,
                       milnor_su2_frame, su2_r_frame)
@@ -44,6 +44,7 @@ class CheckResult:
 @dataclass
 class RunReport:
     scenario: str
+    outdir: str = ""
     checks: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     wall_time: float = 0.0
@@ -52,6 +53,12 @@ class RunReport:
         """Record value <= tol (or value >= tol when larger is set)."""
         ok = bool(value >= tol) if larger else bool(value <= tol)
         self.checks.append(CheckResult(name, float(value), float(tol), ok))
+
+    def output(self, filename: str) -> str:
+        """Path of filename in the output directory, recorded as an output."""
+        path = os.path.join(self.outdir, filename)
+        self.outputs.append(path)
+        return path
 
     @property
     def passed(self) -> bool:
@@ -70,37 +77,28 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _write_plot(outdir: str, name: str, csvfile: str, columns, title: str) -> str:
-    path = os.path.join(outdir, f"plot_{name}.gp")
+def _write_plot(rep: RunReport, name: str, csvfile: str, columns, title: str) -> None:
     using = ", ".join(f"'{csvfile}' using 1:{c} with lines" for c in columns)
-    with open(path, "w") as fh:
+    with open(rep.output(f"plot_{name}.gp"), "w") as fh:
         fh.write("set datafile separator ','\n"
                  "set key autotitle columnhead\n"
                  f"set title '{title}'\n"
                  "set terminal pngcairo size 900,600\n"
                  f"set output '{name}.png'\n"
                  f"plot {using}\n")
-    return path
 
 
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _scenario_sphere(p, outdir, rep):
+def _scenario_sphere(p, rep):
     lam0, eta0, dt, T = p["lam0"], p["eta0"], p["dt"], p["T"]
     steps = int(round(T / dt))
     stop = (lambda t, y: y[0] < 0.05) if eta0 == 0.0 else None
     ts, ys = flow.rk4_path(lambda t, y: (flow.sphere_ode_rhs(y[0], eta0),),
                            [lam0], dt, steps, stop=stop)
-    csvf = os.path.join(outdir, "trajectory.csv")
-    with open(csvf, "w") as fh:
-        fh.write("t,lambda_size\n")
-        for t, y in zip(ts, ys[:, 0]):
-            fh.write(f"{float(t)!r},{float(y)!r}\n")
-    rep.outputs.append(csvf)
-    rep.outputs.append(_write_plot(outdir, "sphere", "trajectory.csv", [2],
-                                   "round sphere scale"))
+    textio.write_table(rep.output("trajectory.csv"), ["t", "lambda_size"], [ts, ys[:, 0]])
     if eta0 == 0.0:
         rep.check("linear_shrink_sup_err",
                   float(np.max(np.abs(ys[:, 0] - (lam0 - 4.0 * ts)))), p["tol"])
@@ -115,55 +113,38 @@ def _scenario_sphere(p, outdir, rep):
               1e-10)
 
 
-def _scenario_hyperbolic(p, outdir, rep):
+def _scenario_hyperbolic(p, rep):
     lam0, dt, T = p["lam0"], p["dt"], p["T"]
     ts, ys = flow.rk4_path(lambda t, y: (flow.hyperbolic_ode_rhs(y[0]),),
                            [lam0], dt, int(round(T / dt)))
-    csvf = os.path.join(outdir, "trajectory.csv")
-    with open(csvf, "w") as fh:
-        fh.write("t,lambda_size\n")
-        for t, y in zip(ts, ys[:, 0]):
-            fh.write(f"{float(t)!r},{float(y)!r}\n")
-    rep.outputs.append(csvf)
-    rep.outputs.append(_write_plot(outdir, "hyperbolic", "trajectory.csv", [2],
-                                   "hyperbolic expansion"))
+    textio.write_table(rep.output("trajectory.csv"), ["t", "lambda_size"], [ts, ys[:, 0]])
     rep.check("linear_growth_rate_err", abs(ys[-1, 0] / (4.0 * ts[-1]) - 1.0), p["tol"])
 
 
-def _scenario_neck(p, outdir, rep):
+def _scenario_neck(p, rep):
     dt = p["dt"]
+    if p["phi_stop"] <= 0.0:
+        raise ConfigError("neck needs phi_stop > 0: the sphere factor pinches at 0")
     ts, ys = flow.rk4_path(lambda t, y: flow.neck_ode_rhs(y),
                            [p["phi0"], p["psi0"]], dt, int(p["max_steps"]),
                            stop=lambda t, y: y[0] < p["phi_stop"])
-    csvf = os.path.join(outdir, "trajectory.csv")
-    with open(csvf, "w") as fh:
-        fh.write("t,phi,psi\n")
-        for t, y in zip(ts, ys):
-            fh.write(f"{float(t)!r},{float(y[0])!r},{float(y[1])!r}\n")
-    rep.outputs.append(csvf)
-    rep.outputs.append(_write_plot(outdir, "neck", "trajectory.csv", [2, 3],
-                                   "neck pinch: sphere and circle factors"))
+    textio.write_table(rep.output("trajectory.csv"), ["t", "phi", "psi"], [ts, *ys.T])
+    rep.check("sphere_factor_min", float(np.min(ys[:, 0])), 0.0, larger=True)
     rep.check("sphere_factor_final", float(ys[-1, 0]), p["phi_stop"] + 2 * dt * 2.0)
     rep.check("circle_factor_growth", float(ys[-1, 1] - ys[0, 1]), p["tol"], larger=True)
 
 
-def _scenario_su2_milnor(p, outdir, rep):
+def _scenario_su2_milnor(p, rep):
     dt, T, eta0 = p["dt"], p["T"], p["eta0"]
     y0 = [p["A0"], p["B0"], p["C0"]]
     ts, ys = flow.rk4_path(lambda t, y: flow.milnor_su2_rhs(y, eta0), y0, dt,
                            int(round(T / dt)))
-    A, B, C = ys[:, 0], ys[:, 1], ys[:, 2]
-    csvf = os.path.join(outdir, "trajectory.csv")
-    with open(csvf, "w") as fh:
-        fh.write("t,A,B,C,anisotropy\n")
-        for i, t in enumerate(ts):
-            fh.write(f"{float(t)!r},{float(A[i])!r},{float(B[i])!r},{float(C[i])!r},{float((C[i] - A[i]) / A[i])!r}\n")
-    rep.outputs.append(csvf)
-    rep.outputs.append(_write_plot(outdir, "su2_milnor", "trajectory.csv",
-                                   [2, 3, 4], "Milnor frame coefficients"))
+    A, B, C = ys.T
+    ratio = (C - A) / A
+    textio.write_table(rep.output("trajectory.csv"), ["t", "A", "B", "C", "anisotropy"],
+                       [ts, A, B, C, ratio])
     order_viol = float(max(np.max(A - B), np.max(B - C)))
     rep.check("ordering_preserved_violation", order_viol, 1e-12)
-    ratio = (C - A) / A
     rep.check("anisotropy_monotone_violation", float(np.max(np.diff(ratio))), 1e-12)
     rep.check("final_anisotropy", float(C[-1] - A[-1]), p["tol"])
     mask = (C - A) > 1e-10
@@ -174,7 +155,7 @@ def _scenario_su2_milnor(p, outdir, rep):
     rep.check("exponential_decay_r2", float(r2), 0.99, larger=True)
 
 
-def _scenario_product_s3s3(p, outdir, rep):
+def _scenario_product_s3s3(p, rep):
     frame = direct_sum_frame(milnor_su2_frame(), milnor_su2_frame())
     g = np.zeros((6, 6))
     g[:3, :3] = 0.5 * np.eye(3)
@@ -184,9 +165,7 @@ def _scenario_product_s3s3(p, outdir, rep):
     cfg = flow.FlowConfig(dt=p["dt"], steps=int(round(p["T"] / p["dt"])),
                           fixed_point_tol=0.0)
     traj = flow.integrate(frame, flow.FlowState(g, H), cfg)
-    csvf = os.path.join(outdir, "trajectory.csv")
-    traj.to_csv(csvf)
-    rep.outputs.append(csvf)
+    traj.to_csv(rep.output("trajectory.csv"))
     gf, tf = traj.metrics[-1], traj.times[-1]
     rep.check("einstein_block_drift",
               float(np.max(np.abs(gf[:3, :3] - 0.5 * np.eye(3)))), p["tol"])
@@ -196,18 +175,11 @@ def _scenario_product_s3s3(p, outdir, rep):
     rep.check("block_mixing", float(np.max(np.abs(gf[:3, 3:]))), 1e-12)
 
 
-def _scenario_hopf_rym(p, outdir, rep):
+def _scenario_hopf_rym(p, rep):
     K0, L0, a, dt, T = p["K0"], p["L0"], p["a"], p["dt"], p["T"]
     ts, ys = flow.rk4_path(lambda t, y: flow.circle_bundle_rhs(y[0], y[1], a),
                            [K0, L0], dt, int(round(T / dt)))
-    csvf = os.path.join(outdir, "trajectory.csv")
-    with open(csvf, "w") as fh:
-        fh.write("t,K,L\n")
-        for t, y in zip(ts, ys):
-            fh.write(f"{float(t)!r},{float(y[0])!r},{float(y[1])!r}\n")
-    rep.outputs.append(csvf)
-    rep.outputs.append(_write_plot(outdir, "hopf_rym", "trajectory.csv", [2, 3],
-                                   "circle bundle fiber and base sizes"))
+    textio.write_table(rep.output("trajectory.csv"), ["t", "K", "L"], [ts, *ys.T])
     frame = milnor_su2_frame()
     gap = 0.0
     for K, L in ys[:: max(1, len(ys) // 40)]:
@@ -219,21 +191,17 @@ def _scenario_hopf_rym(p, outdir, rep):
     rep.check("tensor_engine_gap", gap, p["tol"])
 
 
-def _scenario_hopf_tduality(p, outdir, rep):
+def _scenario_hopf_tduality(p, rep):
     dt, T = p["dt"], p["T"]
     com = tduality.flow_commutation_check(p["K0"], p["L0"], dt, T, p["a"])
     half = tduality.flow_commutation_check(p["K0"], p["L0"], dt / 2.0, T, p["a"])
-    csvf = os.path.join(outdir, "commutation.csv")
-    com.to_csv(csvf)
-    rep.outputs.append(csvf)
-    rep.outputs.append(_write_plot(outdir, "hopf_tduality", "commutation.csv",
-                                   [4, 6], "dual fiber: direct vs flowed"))
+    com.to_csv(rep.output("commutation.csv"))
     rep.check("commutation_deviation", com.max_deviation, p["tol"])
     rep.check("halving_gain", com.max_deviation / half.max_deviation, 12.0,
               larger=True)
 
 
-def _scenario_hopf_bismut_flat(p, outdir, rep):
+def _scenario_hopf_bismut_flat(p, rep):
     k, x = p["k"], p["x"]
     frame, g, H, phi = geometry.hopf_einstein_pair(k, x)
     for sign, tag in ((+1, "plus"), (-1, "minus")):
@@ -262,13 +230,11 @@ def _scenario_hopf_bismut_flat(p, outdir, rep):
                   exch.fiber_rule_gap), p["tol"])
     data = tduality.dump_circle_bundle(
         tduality.CircleBundleData(g0=g[3, 3], g1=np.zeros(3), g2=g[:3, :3]))
-    outf = os.path.join(outdir, "fiber_data.txt")
-    with open(outf, "w") as fh:
+    with open(rep.output("fiber_data.txt"), "w") as fh:
         fh.write(data)
-    rep.outputs.append(outf)
 
 
-def _scenario_torus_krf(p, outdir, rep):
+def _scenario_torus_krf(p, rep):
     N, amp = int(p["N"]), p["amplitude"]
     grid = pde.PeriodicGrid.from_function(
         lambda X, Y: amp * np.sin(X) * np.sin(Y), N)
@@ -276,11 +242,7 @@ def _scenario_torus_krf(p, outdir, rep):
     traj = pde.pde_integrate(grid, steps=int(p["max_steps"]),
                              stop_sup_rate=p["rate_target"])
     wall = time.time() - t0
-    csvf = os.path.join(outdir, "monitors.csv")
-    traj.to_csv(csvf)
-    rep.outputs.append(csvf)
-    rep.outputs.append(_write_plot(outdir, "torus_krf", "monitors.csv", [2, 3],
-                                   "potential flow rate bounds"))
+    traj.to_csv(rep.output("monitors.csv"))
     rep.check("sup_rate_monotone_violation",
               float(np.max(np.diff(traj.sup_rate))), 1e-10)
     rep.check("inf_rate_monotone_violation",
@@ -290,22 +252,18 @@ def _scenario_torus_krf(p, outdir, rep):
     rep.check("wall_time_budget", wall, p["wall_budget"])
 
 
-def _scenario_torus_gkrf(p, outdir, rep):
+def _scenario_torus_gkrf(p, rep):
     N, amp = int(p["N"]), p["amplitude"]
     grid = pde.PeriodicGrid.from_function(
         lambda X, Y: amp * np.sin(X) * np.sin(Y), N)
     traj = pde.pde_integrate(grid, steps=int(p["max_steps"]), rhs=pde.gkrf_rhs)
-    csvf = os.path.join(outdir, "monitors.csv")
-    traj.to_csv(csvf)
-    rep.outputs.append(csvf)
-    rep.outputs.append(_write_plot(outdir, "torus_gkrf", "monitors.csv", [5],
-                                   "oscillation decay"))
+    traj.to_csv(rep.output("monitors.csv"))
     rep.check("final_oscillation", float(traj.osc[-1]), p["tol"])
     rep.check("sup_rate_monotone_violation",
               float(np.max(np.diff(traj.sup_rate))), 1e-10)
 
 
-def _scenario_courant_axioms(p, outdir, rep):
+def _scenario_courant_axioms(p, rep):
     rng = np.random.default_rng(int(p["seed"]))
     frame = su2_r_frame()
     sections = [GeneralizedVector(rng.standard_normal(4), rng.standard_normal(4))
@@ -323,16 +281,14 @@ def _scenario_courant_axioms(p, outdir, rep):
     rep.check("jacobi_detects_nonclosed", open_rep.jacobi_max, 1e-6, larger=True)
     rep.check("nonclosed_flagged", 1.0 if open_rep.jacobi_failure_expected else 0.0,
               1.0, larger=True)
-    outf = os.path.join(outdir, "report_closed.txt")
-    with open(outf, "w") as fh:
+    with open(rep.output("report_closed.txt"), "w") as fh:
         for name in ("jacobi_max", "pairing_derivation_max", "symmetrization_max",
                      "dh_max"):
             fh.write(f"{name} = {getattr(closed, name)!r}\n")
         fh.write(f"skipped = {','.join(closed.skipped)}\n")
-    rep.outputs.append(outf)
 
 
-def _scenario_bianchi_suite(p, outdir, rep):
+def _scenario_bianchi_suite(p, rep):
     rng = np.random.default_rng(int(p["seed"]))
     worst = {"first_bianchi": 0.0, "pair_symmetry": 0.0, "divergence_lemma": 0.0}
     frame4 = su2_r_frame()
@@ -355,17 +311,14 @@ def _scenario_bianchi_suite(p, outdir, rep):
                                             r.divergence_lemma_max)
     for name, v in worst.items():
         rep.check(name, v, p["tol"])
-    outf = os.path.join(outdir, "residuals.txt")
-    with open(outf, "w") as fh:
-        for name, v in worst.items():
-            fh.write(f"{name}_max = {v!r}\n")
-    rep.outputs.append(outf)
+    with open(rep.output("residuals.txt"), "w") as fh:
+        fh.write(textio.dump_fields({f"{name}_max": v for name, v in worst.items()}, {}))
 
 
-def _scenario_lambda_monotone(p, outdir, rep):
+def _scenario_lambda_monotone(p, rep):
     dt = p["dt"]
     frame = milnor_su2_frame()
-    rows = []
+    series = {}
     worst = -np.inf
     h_two = ThreeForm.basis(3, 0, 1, 2, 2.0)
     for lam0 in (0.5, 3.0):
@@ -375,60 +328,62 @@ def _scenario_lambda_monotone(p, outdir, rep):
         lam_fun = [flow.lambda_homogeneous(frame, s * np.eye(3), h_two)
                    for s in ys[:: int(p["stride"]), 0]]
         worst = max(worst, float(np.max(-np.diff(lam_fun))))
-        rows.append((f"sphere_{lam0}", np.array(lam_fun)))
+        series[f"sphere_{lam0}"] = lam_fun
     ts, ys = flow.rk4_path(lambda t, y: flow.milnor_su2_rhs(y, 1.0),
                            [0.3, 0.5, 0.9], dt, int(round(p["T"] / dt)))
     h3 = ThreeForm.basis(3, 0, 1, 2, 1.0)
     lam_fun = [flow.lambda_homogeneous(frame, np.diag(row), h3)
                for row in ys[:: int(p["stride"])]]
     worst = max(worst, float(np.max(-np.diff(lam_fun))))
-    rows.append(("su2_milnor", np.array(lam_fun)))
-    csvf = os.path.join(outdir, "lambda_series.csv")
-    with open(csvf, "w") as fh:
-        fh.write("index," + ",".join(name for name, _ in rows) + "\n")
-        depth = max(len(v) for _, v in rows)
-        for i in range(depth):
-            cells = [str(i)]
-            for _, v in rows:
-                cells.append(repr(float(v[i])) if i < len(v) else "")
-            fh.write(",".join(cells) + "\n")
-    rep.outputs.append(csvf)
+    series["su2_milnor"] = lam_fun
+    textio.write_table(rep.output("lambda_series.csv"), ["index", *series],
+                       [np.arange(len(lam_fun)), *series.values()])
     slack = 1e-8 * dt * p["stride"]
     rep.check("lambda_decrease_violation", worst, slack)
 
 
+# name: (function, description, defaults, plot), where plot is
+# (csv file, plotted columns, title) for plot_<name>.gp, or None
 _REGISTRY = {
     "sphere": (_scenario_sphere, "round S^3 with volume torsion",
-               {"lam0": 1.0, "eta0": 2.0, "dt": 1e-3, "T": 5.0, "tol": 1e-6}),
+               {"lam0": 1.0, "eta0": 2.0, "dt": 1e-3, "T": 5.0, "tol": 1e-6},
+               ("trajectory.csv", [2], "round sphere scale")),
     "hyperbolic": (_scenario_hyperbolic, "compact hyperbolic expansion",
-                   {"lam0": 1.0, "dt": 1e-3, "T": 50.0, "tol": 0.01}),
+                   {"lam0": 1.0, "dt": 1e-3, "T": 50.0, "tol": 0.01},
+                   ("trajectory.csv", [2], "hyperbolic expansion")),
     "neck": (_scenario_neck, "S^2 x S^1 neck pinch",
              {"phi0": 1.0, "psi0": 1.0, "dt": 1e-4, "max_steps": 200000,
-              "phi_stop": 0.05, "tol": 1e-3}),
+              "phi_stop": 0.05, "tol": 1e-3},
+             ("trajectory.csv", [2, 3], "neck pinch: sphere and circle factors")),
     "su2-milnor": (_scenario_su2_milnor, "diagonal SU(2) flow, Milnor frame",
                    {"A0": 0.3, "B0": 0.5, "C0": 0.9, "eta0": 1.0, "dt": 1e-3,
-                    "T": 10.0, "tol": 1e-6}),
+                    "T": 10.0, "tol": 1e-6},
+                   ("trajectory.csv", [2, 3, 4], "Milnor frame coefficients")),
     "product-s3s3": (_scenario_product_s3s3, "Einstein + shrinking product",
-                     {"lam0": 1.0, "dt": 1e-3, "T": 0.15, "tol": 1e-8}),
+                     {"lam0": 1.0, "dt": 1e-3, "T": 0.15, "tol": 1e-8}, None),
     "hopf-rym": (_scenario_hopf_rym, "circle bundle over round S^2",
                  {"K0": 1.0, "L0": 1.0, "a": 1.0, "dt": 1e-3, "T": 0.3,
-                  "tol": 1e-10}),
+                  "tol": 1e-10},
+                 ("trajectory.csv", [2, 3], "circle bundle fiber and base sizes")),
     "hopf-tduality": (_scenario_hopf_tduality, "flow/duality commutation",
                       {"K0": 1.0, "L0": 1.0, "a": 1.0, "dt": 0.01, "T": 0.4,
-                       "tol": 1e-6}),
+                       "tol": 1e-6},
+                      ("commutation.csv", [4, 6], "dual fiber: direct vs flowed")),
     "hopf-bismut-flat": (_scenario_hopf_bismut_flat, "flat Bismut pair checks",
-                         {"k": 1.0, "x": 1.0, "tol": 1e-10}),
+                         {"k": 1.0, "x": 1.0, "tol": 1e-10}, None),
     "torus-krf": (_scenario_torus_krf, "periodic potential flow",
                   {"N": 64, "amplitude": 0.1, "max_steps": 20000,
-                   "rate_target": 1e-6, "wall_budget": 60.0}),
+                   "rate_target": 1e-6, "wall_budget": 60.0},
+                  ("monitors.csv", [2, 3], "potential flow rate bounds")),
     "torus-gkrf": (_scenario_torus_gkrf, "generalized potential flow",
-                   {"N": 64, "amplitude": 0.1, "max_steps": 8000, "tol": 1e-5}),
+                   {"N": 64, "amplitude": 0.1, "max_steps": 8000, "tol": 1e-5},
+                   ("monitors.csv", [5], "oscillation decay")),
     "courant-axioms": (_scenario_courant_axioms, "bracket axiom residuals",
-                       {"seed": 0, "sections": 6, "tol": 1e-12}),
+                       {"seed": 0, "sections": 6, "tol": 1e-12}, None),
     "bianchi-suite": (_scenario_bianchi_suite, "curvature identity residuals",
-                      {"seed": 0, "trials": 20, "tol": 1e-10}),
+                      {"seed": 0, "trials": 20, "tol": 1e-10}, None),
     "lambda-monotone": (_scenario_lambda_monotone, "lambda along flows",
-                        {"dt": 1e-3, "T": 5.0, "stride": 10}),
+                        {"dt": 1e-3, "T": 5.0, "stride": 10}, None),
 }
 
 
@@ -441,7 +396,7 @@ def run_scenario(name: str, overrides: dict | None = None,
     """Run one scenario and write its artifacts under out_root/name."""
     if name not in _REGISTRY:
         raise ConfigError(f"unknown scenario {name!r}; try --list")
-    func, _, defaults = _REGISTRY[name]
+    func, _, defaults, plot = _REGISTRY[name]
     params = dict(defaults)
     for key, value in (overrides or {}).items():
         if key not in params:
@@ -454,14 +409,15 @@ def run_scenario(name: str, overrides: dict | None = None,
     out_root = out_root or os.environ.get("GRFLAB_OUT", "runs")
     outdir = os.path.join(out_root, name)
     os.makedirs(outdir, exist_ok=True)
-    rep = RunReport(scenario=name)
+    rep = RunReport(scenario=name, outdir=outdir)
     t0 = time.time()
-    func(params, outdir, rep)
+    func(params, rep)
+    if plot is not None:
+        _write_plot(rep, name.replace("-", "_"), *plot)
     rep.wall_time = time.time() - t0
-    report_path = os.path.join(outdir, "report.txt")
-    with open(report_path, "w") as fh:
-        fh.write(rep.to_text())
-    rep.outputs.append(report_path)
+    text = rep.to_text()   # report.txt lists the outputs before it, not itself
+    with open(rep.output("report.txt"), "w") as fh:
+        fh.write(text)
     return rep
 
 
@@ -536,7 +492,7 @@ def main(argv=None) -> int:
 
     try:
         if args.list:
-            for name, (_, desc, defaults) in _REGISTRY.items():
+            for name, (_, desc, defaults, _) in _REGISTRY.items():
                 keys = ", ".join(f"{k}={v}" for k, v in defaults.items())
                 print(f"{name:18s} {desc} [{keys}]")
             return 0

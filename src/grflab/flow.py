@@ -25,12 +25,11 @@ bitwise equal to it, and ``rk4_path`` stores them in float64 arrays.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
+from . import geometry, textio
 from .courant import LieFrame, as_three_form_array, exterior_d_invariant
 
 __all__ = [
@@ -157,16 +156,15 @@ class FlowTrajectory:
         header = (["t"] + [f"g_{i}_{j}" for i, j in gcols]
                   + [f"H_{i}_{j}_{k}" for i, j, k in hcols]
                   + ["R", "H_norm2", "lambda", "rhs_norm"])
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for t, g, H, rn, r, hn in zip(self.times, self.metrics, self.torsions,
-                                          self.rhs_norms, self.scalar_curvatures,
-                                          self.h_norm2s):
-                row = ([t] + [g[i, j] for i, j in gcols]
-                       + [H[i, j, k] for i, j, k in hcols]
-                       + [r, hn, r - hn / 12.0, rn])
-                w.writerow([repr(float(v)) for v in row])
+        g = np.asarray(self.metrics, dtype=float).reshape(-1, n, n)
+        H = np.asarray(self.torsions, dtype=float).reshape(-1, n, n, n)
+        r = np.asarray(self.scalar_curvatures, dtype=float)
+        hn = np.asarray(self.h_norm2s, dtype=float)
+        textio.write_table(path, header, [np.asarray(self.times, dtype=float)]
+                           + [g[:, i, j] for i, j in gcols]
+                           + [H[:, i, j, k] for i, j, k in hcols]
+                           + [r, hn, r - hn / 12.0,
+                              np.asarray(self.rhs_norms, dtype=float)])
 
 
 def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTrajectory:

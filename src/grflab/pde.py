@@ -30,13 +30,14 @@ Rayleigh-quotient refinement that can lock onto an excited state.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from . import textio
 
 __all__ = [
     "PeriodicGrid",
@@ -245,14 +246,13 @@ class PdeTrajectory:
     rhs_evals: int = 0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "sup_rate", "inf_rate", "sup_abs_rate", "osc"])
-            for i, t in enumerate(self.times):
-                row = [t, self.sup_rate[i], self.inf_rate[i],
-                       max(abs(self.sup_rate[i]), abs(self.inf_rate[i])),
-                       self.osc[i]]
-                w.writerow([repr(float(v)) for v in row])
+        """Write t, sup_rate, inf_rate, sup_abs_rate, osc per state."""
+        sup_abs, inf_abs = np.abs(self.sup_rate), np.abs(self.inf_rate)
+        # Python's max(|sup|, |inf|): |inf| only when it is larger, so a NaN
+        # |sup| is kept and a NaN |inf| is passed over
+        textio.write_table(path, ["t", "sup_rate", "inf_rate", "sup_abs_rate", "osc"],
+                           [self.times, self.sup_rate, self.inf_rate,
+                            np.where(inf_abs > sup_abs, inf_abs, sup_abs), self.osc])
 
 
 def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
@@ -391,11 +391,7 @@ def lambda_eigen(V: PeriodicGrid, tol: float = 1e-10,
 def grid_to_csv(grid: PeriodicGrid, path) -> None:
     """Node table i, j, x, y, value."""
     N, M = grid.shape
-    hx, hy = grid.spacing(0), grid.spacing(1)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "j", "x", "y", "value"])
-        for i in range(N):
-            for j in range(M):
-                w.writerow([i, j, repr(i * hx), repr(j * hy),
-                            repr(float(grid.values[i, j]))])
+    i, j = divmod(np.arange(N * M), M)
+    textio.write_table(path, ["i", "j", "x", "y", "value"],
+                       [i, j, i * grid.spacing(0), j * grid.spacing(1),
+                        grid.values.ravel()])

@@ -18,7 +18,6 @@ where nu is the fiber volume density.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,14 +166,10 @@ class CommutationReport:
     max_deviation: float
 
     def to_csv(self, path) -> None:
-        header = ["t", "K", "L", "K_dual_direct", "L_dual_direct",
-                  "K_dual_via_buscher", "L_dual_via_buscher"]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for i, t in enumerate(self.times):
-                row = [t, *self.primal[i], *self.dual_direct[i], *self.dual_flowed[i]]
-                w.writerow([repr(float(v)) for v in row])
+        textio.write_table(
+            path, ["t", "K", "L", "K_dual_direct", "L_dual_direct",
+                   "K_dual_via_buscher", "L_dual_via_buscher"],
+            [self.times, *self.primal.T, *self.dual_direct.T, *self.dual_flowed.T])
 
 
 def _fiber_data(K: float, L: float) -> CircleBundleData:

@@ -1,9 +1,10 @@
-"""Flat key/value text serialization for frames, metrics, forms and reports.
+"""Text serialization: flat key/value fields and comma-separated tables.
 
-The format is line based: ``name = value`` for scalars and
+The field format is line based: ``name = value`` for scalars and
 ``name[i][j]... = value`` for array entries.  Only nonzero entries are
 written; shapes are reconstructed from a ``dim`` key plus the known rank
-of each field.  Floats are written with ``repr`` so round-trips are exact.
+of each field.  :func:`write_table` writes every CSV series of the
+package.  Floats are written with ``repr`` so round-trips are exact.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import re
 
 import numpy as np
 
+_TABLE_BLOCK = 1024   # rows converted to text per write
 _ENTRY = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z_0-9]*)(?P<idx>(\[\d+\])*)\s*=\s*(?P<val>\S+)\s*$")
 
 
@@ -38,6 +40,25 @@ def dump_fields(scalars: dict, arrays: dict) -> str:
     for name, arr in arrays.items():
         lines.extend(format_array(name, arr))
     return "\n".join(lines) + "\n"
+
+
+def write_table(path, header, columns) -> None:
+    """Write equal-length 1-d columns under a header as comma-separated
+    lines, each ending in a bare newline.  A cell is ``repr`` of the
+    column's ``tolist()`` value, so floats round-trip exactly and integers
+    stay integers.  Rows are converted a block at a time, so the cells of
+    a long table are never all held at once."""
+    columns = [np.asarray(c) for c in columns]
+    if len(columns) != len(header):
+        raise ValueError(f"{len(columns)} columns for {len(header)} header names")
+    if any(c.ndim != 1 for c in columns) or len({len(c) for c in columns}) > 1:
+        raise ValueError("columns must be 1-d and of equal length")
+    rows = len(columns[0]) if columns else 0
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, rows, _TABLE_BLOCK):
+            cells = [map(repr, c[start:start + _TABLE_BLOCK].tolist()) for c in columns]
+            fh.write("".join(",".join(row) + "\n" for row in zip(*cells)))
 
 
 def parse_fields(text: str):

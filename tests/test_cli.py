@@ -1,8 +1,12 @@
 import os
+import re
 
+import numpy as np
 import pytest
 
-from grflab.cli import ConfigError, main, run_scenario, scenario_names
+from grflab import cli, flow
+from grflab.cli import ConfigError, main, run_many, run_scenario, scenario_names
+from grflab.courant import ThreeForm, milnor_su2_frame
 
 
 def test_list_names_every_scenario(capsys):
@@ -100,3 +104,154 @@ def test_lambda_monotone_builds_each_three_form_once(tmp_path, three_form_checks
     rep = run_scenario("lambda-monotone", {"T": 0.2}, str(tmp_path))
     assert rep.passed
     assert three_form_checks[0] == 2   # one 3-form for the round runs, one for Milnor
+
+
+def test_neck_rejects_a_stop_below_the_pinch(tmp_path, capsys):
+    assert main(["--scenario", "neck", "--set", "phi_stop=-1",
+                 "--out", str(tmp_path)]) == 2
+    assert "phi_stop" in capsys.readouterr().err
+
+
+def test_neck_fails_when_the_path_runs_through_the_pinch(tmp_path):
+    # dt = 0.05 overshoots phi = 0 in the step that crosses phi_stop
+    assert main(["--scenario", "neck", "--set", "dt=0.05",
+                 "--out", str(tmp_path)]) == 1
+    report = (tmp_path / "neck" / "report.txt").read_text()
+    assert "check_sphere_factor_min_passed = false" in report
+
+
+# ---------------------------------------------------------------------------
+# the CLI's series against the per-row loops they replaced
+# ---------------------------------------------------------------------------
+
+# The loops the scenarios wrote their series with before the shared table
+# writer, kept as the parity reference.  sphere and hyperbolic shared the
+# first; neck ("t,phi,psi") and hopf-rym ("t,K,L") the second.
+
+def frozen_scalar_loop(csvf, ts, ys):
+    with open(csvf, "w") as fh:
+        fh.write("t,lambda_size\n")
+        for t, y in zip(ts, ys[:, 0]):
+            fh.write(f"{float(t)!r},{float(y)!r}\n")
+
+
+def frozen_pair_loop(csvf, header, ts, ys):
+    with open(csvf, "w") as fh:
+        fh.write(header)
+        for t, y in zip(ts, ys):
+            fh.write(f"{float(t)!r},{float(y[0])!r},{float(y[1])!r}\n")
+
+
+def frozen_su2_loop(csvf, ts, ys):
+    A, B, C = ys[:, 0], ys[:, 1], ys[:, 2]
+    with open(csvf, "w") as fh:
+        fh.write("t,A,B,C,anisotropy\n")
+        for i, t in enumerate(ts):
+            fh.write(f"{float(t)!r},{float(A[i])!r},{float(B[i])!r},{float(C[i])!r},{float((C[i] - A[i]) / A[i])!r}\n")
+
+
+def frozen_lambda_loop(csvf, rows):
+    with open(csvf, "w") as fh:
+        fh.write("index," + ",".join(name for name, _ in rows) + "\n")
+        depth = max(len(v) for _, v in rows)
+        for i in range(depth):
+            cells = [str(i)]
+            for _, v in rows:
+                cells.append(repr(float(v[i])) if i < len(v) else "")
+            fh.write(",".join(cells) + "\n")
+
+
+def _steps(p):
+    return int(round(p["T"] / p["dt"]))
+
+
+def _reference_series(name, p, csvf):
+    """Recompute a scenario's path and write it with the frozen loop."""
+    if name == "sphere":
+        stop = (lambda t, y: y[0] < 0.05) if p["eta0"] == 0.0 else None
+        ts, ys = flow.rk4_path(lambda t, y: (flow.sphere_ode_rhs(y[0], p["eta0"]),),
+                               [p["lam0"]], p["dt"], _steps(p), stop=stop)
+        frozen_scalar_loop(csvf, ts, ys)
+    elif name == "hyperbolic":
+        ts, ys = flow.rk4_path(lambda t, y: (flow.hyperbolic_ode_rhs(y[0]),),
+                               [p["lam0"]], p["dt"], _steps(p))
+        frozen_scalar_loop(csvf, ts, ys)
+    elif name == "neck":
+        ts, ys = flow.rk4_path(lambda t, y: flow.neck_ode_rhs(y),
+                               [p["phi0"], p["psi0"]], p["dt"], int(p["max_steps"]),
+                               stop=lambda t, y: y[0] < p["phi_stop"])
+        assert ys[-1, 0] < p["phi_stop"]   # the stop ended the path
+        frozen_pair_loop(csvf, "t,phi,psi\n", ts, ys)
+    elif name == "hopf-rym":
+        ts, ys = flow.rk4_path(lambda t, y: flow.circle_bundle_rhs(y[0], y[1], p["a"]),
+                               [p["K0"], p["L0"]], p["dt"], _steps(p))
+        frozen_pair_loop(csvf, "t,K,L\n", ts, ys)
+    elif name == "su2-milnor":
+        ts, ys = flow.rk4_path(lambda t, y: flow.milnor_su2_rhs(y, p["eta0"]),
+                               [p["A0"], p["B0"], p["C0"]], p["dt"], _steps(p))
+        frozen_su2_loop(csvf, ts, ys)
+    elif name == "lambda-monotone":
+        frame, rows = milnor_su2_frame(), []
+        for lam0 in (0.5, 3.0):
+            _, ys = flow.rk4_path(lambda t, y: (flow.sphere_ode_rhs(y[0], 2.0),),
+                                  [lam0], p["dt"], _steps(p))
+            h = ThreeForm.basis(3, 0, 1, 2, 2.0)
+            rows.append((f"sphere_{lam0}", np.array(
+                [flow.lambda_homogeneous(frame, s * np.eye(3), h)
+                 for s in ys[:: int(p["stride"]), 0]])))
+        _, ys = flow.rk4_path(lambda t, y: flow.milnor_su2_rhs(y, 1.0),
+                              [0.3, 0.5, 0.9], p["dt"], _steps(p))
+        h = ThreeForm.basis(3, 0, 1, 2, 1.0)
+        rows.append(("su2_milnor", np.array(
+            [flow.lambda_homogeneous(frame, np.diag(row), h)
+             for row in ys[:: int(p["stride"])]])))
+        frozen_lambda_loop(csvf, rows)
+
+
+CLI_SERIES = [
+    ("sphere", {"T": 0.5}, "trajectory.csv"),
+    ("sphere", {"T": 0.5, "eta0": 0.0, "lam0": 0.3}, "trajectory.csv"),  # stopped
+    ("hyperbolic", {"T": 0.5}, "trajectory.csv"),
+    ("neck", {"phi_stop": 0.9}, "trajectory.csv"),                        # stopped
+    ("su2-milnor", {"T": 0.5}, "trajectory.csv"),
+    ("hopf-rym", {"T": 0.2}, "trajectory.csv"),
+    ("lambda-monotone", {"T": 0.2}, "lambda_series.csv"),
+]
+
+
+@pytest.mark.parametrize("name,overrides,csvfile", CLI_SERIES)
+def test_series_match_the_frozen_row_loops(name, overrides, csvfile, tmp_path):
+    run_scenario(name, overrides, str(tmp_path))
+    params = {**cli._REGISTRY[name][2], **overrides}
+    _reference_series(name, params, tmp_path / "reference.csv")
+    got = (tmp_path / name / csvfile).read_bytes()
+    assert got.count(b"\n") > 2
+    assert got == (tmp_path / "reference.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the output contract of every scenario
+# ---------------------------------------------------------------------------
+
+# the benchmark's smoke overrides: short runs whose checks still pass
+SMOKE_OVERRIDES = {"product-s3s3": {"T": 0.01}, "torus-krf": {"N": 16},
+                   "torus-gkrf": {"N": 16}, "lambda-monotone": {"T": 0.5}}
+
+
+def test_every_scenario_keeps_the_output_contract(tmp_path):
+    assert run_many(scenario_names(), SMOKE_OVERRIDES, str(tmp_path)) == 0
+    for name in scenario_names():
+        outdir = tmp_path / name
+        for path in outdir.iterdir():
+            assert b"\r" not in path.read_bytes(), path
+        listed = [line.split(" = ", 1)[1] for line in
+                  (outdir / "report.txt").read_text().splitlines()
+                  if line.startswith("output_")]
+        assert listed and all(os.path.exists(p) for p in listed), name
+        for script in outdir.glob("plot_*.gp"):
+            assert str(script) in listed
+            uses = re.findall(r"'([^']+)' using 1:(\d+)", script.read_text())
+            assert uses, script
+            for csvfile, column in uses:
+                header = (outdir / csvfile).read_text().split("\n", 1)[0]
+                assert len(header.split(",")) >= int(column), (script, csvfile)

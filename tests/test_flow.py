@@ -1,3 +1,4 @@
+import csv
 import os
 
 import numpy as np
@@ -177,6 +178,76 @@ def test_levi_civita_runs_once_per_rhs_and_never_in_post_processing(
     traj.lambda_series()
     traj.to_csv(tmp_path / "traj.csv")
     assert calls == {"levi_civita": 41, "riemann": 41}
+
+
+def frozen_flow_to_csv(traj, path):
+    """FlowTrajectory.to_csv with csv.writer, as it was before the shared
+    table writer; kept as the parity reference."""
+    n = traj.frame.dim
+    gcols = [(i, j) for i in range(n) for j in range(i, n)]
+    hcols = [(i, j, k) for i in range(n) for j in range(i + 1, n)
+             for k in range(j + 1, n)]
+    header = (["t"] + [f"g_{i}_{j}" for i, j in gcols]
+              + [f"H_{i}_{j}_{k}" for i, j, k in hcols]
+              + ["R", "H_norm2", "lambda", "rhs_norm"])
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for t, g, H, rn, r, hn in zip(traj.times, traj.metrics, traj.torsions,
+                                      traj.rhs_norms, traj.scalar_curvatures,
+                                      traj.h_norm2s):
+            row = ([t] + [g[i, j] for i, j in gcols]
+                   + [H[i, j, k] for i, j, k in hcols]
+                   + [r, hn, r - hn / 12.0, rn])
+            w.writerow([repr(float(v)) for v in row])
+
+
+def _product_s3s3_state():
+    g = np.zeros((6, 6))
+    g[:3, :3] = 0.5 * np.eye(3)
+    g[3:, 3:] = np.eye(3)
+    H = np.zeros((6, 6, 6))
+    H[:3, :3, :3] = ThreeForm.basis(3, 0, 1, 2, 1.0).components
+    return FlowState(g, H)
+
+
+def _nan_state():
+    g = np.eye(3)
+    g[0, 0] = np.nan
+    return FlowState(g)
+
+
+FLOW_TABLE_RUNS = {
+    "n3_completed": (milnor_su2_frame, lambda: FlowState(
+        np.diag([0.3, 0.5, 0.9]), ThreeForm.basis(3, 0, 1, 2, 1.0)),
+        FlowConfig(dt=1e-2, steps=10, record_every=3)),
+    "n3_nonfinite": (milnor_su2_frame, _nan_state, FlowConfig(dt=1e-3, steps=10)),
+    "n3_metric_floor": (milnor_su2_frame, lambda: FlowState(np.eye(3)),
+                  FlowConfig(dt=1e-2, steps=40, fixed_point_tol=0.0)),
+    "n6_product": (lambda: direct_sum_frame(milnor_su2_frame(), milnor_su2_frame()),
+                   _product_s3s3_state, FlowConfig(dt=1e-3, steps=7)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(FLOW_TABLE_RUNS))
+def test_to_csv_matches_the_csv_writer_form(run, tmp_path):
+    make_frame, make_state, cfg = FLOW_TABLE_RUNS[run]
+    traj = integrate(make_frame(), make_state(), cfg)
+    if run == "n3_nonfinite":
+        assert np.isnan(traj.rhs_norms[-1])
+    traj.to_csv(tmp_path / "new.csv")
+    frozen_flow_to_csv(traj, tmp_path / "old.csv")
+    want = (tmp_path / "old.csv").read_bytes()
+    assert b"\r\n" in want
+    assert (tmp_path / "new.csv").read_bytes() == want.replace(b"\r\n", b"\n")
+
+
+def test_to_csv_of_an_empty_trajectory_is_its_header(tmp_path):
+    traj = flow.FlowTrajectory(frame=milnor_su2_frame())
+    traj.to_csv(tmp_path / "new.csv")
+    frozen_flow_to_csv(traj, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (
+        tmp_path / "old.csv").read_bytes().replace(b"\r\n", b"\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from grflab.pde import (ADMISSIBILITY_FLOOR, DEFAULT_PERIOD, PeriodicGrid,
-                        PositivityError, _operator_matrix, gkrf_rhs,
+from grflab.pde import (ADMISSIBILITY_FLOOR, DEFAULT_PERIOD, PdeTrajectory,
+                        PeriodicGrid, PositivityError, _operator_matrix, gkrf_rhs,
                         grid_to_csv, krf_rhs, lambda_eigen, laplacian,
                         pde_integrate, second_difference)
 
@@ -412,6 +414,85 @@ def test_grid_csv(tmp_path):
     rows = path.read_text().splitlines()
     assert rows[0] == "i,j,x,y,value"
     assert len(rows) == 65
+
+
+# PdeTrajectory.to_csv and grid_to_csv with csv.writer, as they were before
+# the shared table writer; kept as the parity reference.
+
+def frozen_trajectory_to_csv(traj, path):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "sup_rate", "inf_rate", "sup_abs_rate", "osc"])
+        for i, t in enumerate(traj.times):
+            row = [t, traj.sup_rate[i], traj.inf_rate[i],
+                   max(abs(traj.sup_rate[i]), abs(traj.inf_rate[i])),
+                   traj.osc[i]]
+            w.writerow([repr(float(v)) for v in row])
+
+
+def frozen_grid_to_csv(grid, path):
+    N, M = grid.shape
+    hx, hy = grid.spacing(0), grid.spacing(1)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["i", "j", "x", "y", "value"])
+        for i in range(N):
+            for j in range(M):
+                w.writerow([i, j, repr(i * hx), repr(j * hy),
+                            repr(float(grid.values[i, j]))])
+
+
+def assert_same_table(tmp_path, write_new, write_old):
+    write_new(tmp_path / "new.csv")
+    write_old(tmp_path / "old.csv")
+    want = (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == want.replace(b"\r\n", b"\n")
+
+
+def nan_monitor_trajectory():
+    """Rows with NaN in sup only, in inf only and in both, ties and -0.0:
+    sup_abs_rate keeps Python's max(|sup|, |inf|), which returns |sup|
+    unless |inf| > |sup|."""
+    nan = np.nan
+    sup = np.array([0.5, nan, 0.25, nan, -0.0, 1.0, 0.0])
+    inf = np.array([-0.75, -0.5, nan, nan, 0.0, -1.0, -0.0])
+    n = len(sup)
+    return PdeTrajectory(times=np.arange(n) * 0.1, sup_rate=sup, inf_rate=inf,
+                         osc=np.linspace(1.0, 0.0, n), final=sine_grid(0.1, 8),
+                         dt=0.1, steps_taken=n - 1, stopped_early=False)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pde_integrate(sine_grid(0.1, 16), steps=7),
+    lambda: pde_integrate(sine_grid(0.1, 16), steps=5, rhs=gkrf_rhs),
+    lambda: pde_integrate(sine_grid(0.01, 8), steps=500, stop_sup_rate=1e-3),
+    nan_monitor_trajectory,
+], ids=["krf", "gkrf", "stopped", "nan_rows"])
+def test_trajectory_csv_matches_the_csv_writer_form(make, tmp_path):
+    traj = make()
+    assert_same_table(tmp_path, traj.to_csv,
+                      lambda path: frozen_trajectory_to_csv(traj, path))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: sine_grid(0.1, 8),
+    lambda: sine_grid(0.1, 8, 12),
+    lambda: PeriodicGrid(np.linspace(-1.0, 1.0, 16)[None, :], 3.0),
+    lambda: PeriodicGrid(np.where(np.eye(9) > 0, np.nan, -0.0)),
+], ids=["square", "rectangular", "one_active_axis", "nan_values"])
+def test_grid_csv_matches_the_csv_writer_form(make, tmp_path):
+    grid = make()
+    assert_same_table(tmp_path, lambda path: grid_to_csv(grid, path),
+                      lambda path: frozen_grid_to_csv(grid, path))
+
+
+def test_grid_csv_cells_are_plain_floats_for_a_numpy_period(tmp_path):
+    # a numpy period makes each spacing a numpy scalar, whose repr is
+    # "np.float64(...)"
+    grid = PeriodicGrid(np.ones((8, 8)), np.float64(3.0))
+    grid_to_csv(grid, tmp_path / "grid.csv")
+    rows = (tmp_path / "grid.csv").read_text().splitlines()
+    assert rows[2] == "0,1,0.0,0.375,1.0"
 
 
 # ---------------------------------------------------------------------------

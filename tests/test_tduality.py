@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,31 @@ def test_commutation_report_csv(tmp_path):
     assert rows[0] == ("t,K,L,K_dual_direct,L_dual_direct,"
                        "K_dual_via_buscher,L_dual_via_buscher")
     assert len(rows) == len(rep.times) + 1
+
+
+def frozen_commutation_to_csv(rep, path):
+    """CommutationReport.to_csv with csv.writer, as it was before the shared
+    table writer; kept as the parity reference."""
+    header = ["t", "K", "L", "K_dual_direct", "L_dual_direct",
+              "K_dual_via_buscher", "L_dual_via_buscher"]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for i, t in enumerate(rep.times):
+            row = [t, *rep.primal[i], *rep.dual_direct[i], *rep.dual_flowed[i]]
+            w.writerow([repr(float(v)) for v in row])
+
+
+@pytest.mark.parametrize("nan_row", [None, 0, -1])
+def test_commutation_csv_matches_the_csv_writer_form(nan_row, tmp_path):
+    rep = flow_commutation_check(1.0, 1.0, dt=0.01, T=0.4)
+    if nan_row is not None:
+        rep.dual_flowed[nan_row] = np.nan
+        rep.primal[nan_row, 0] = -0.0
+    rep.to_csv(tmp_path / "new.csv")
+    frozen_commutation_to_csv(rep, tmp_path / "old.csv")
+    want = (tmp_path / "old.csv").read_bytes()
+    assert (tmp_path / "new.csv").read_bytes() == want.replace(b"\r\n", b"\n")
 
 
 # ---------------------------------------------------------------------------
