@@ -10,8 +10,12 @@ Two pointwise flows on a doubly periodic grid:
 
 Both satisfy a maximum principle: sup du/dt is nonincreasing and
 inf du/dt is nondecreasing along the flow, which the integrator records
-at every step.  Time stepping is explicit midpoint RK2 with the usual
-parabolic step restriction dt ~ h^2.
+at every step.  ``pde_integrate`` steps by explicit midpoint RK2 (the
+default), under the parabolic step restriction dt ~ h^2, or by ETDRK4
+(Cox & Matthews 2002), which splits rhs(u) = lap(u)/2 + N(u), treats the
+stiff part lap(u)/2 exactly in Fourier space and takes steps about 50x
+longer.  Both linearize to du/dt = lap(u)/2, whose five-point symbol is
+diagonal in the discrete Fourier basis.
 
 The stencil is bit-identical to the five-point ``np.roll`` form
 ``(roll(u, 1) + roll(u, -1) - 2u) / h^2`` but uses slice adds into
@@ -20,8 +24,10 @@ and owns the state ``u``, the midpoint ``mid``, the monitor arrays, one
 stencil buffer pair (u_xx, u_yy) and one rate array.  It wraps ``u`` and
 ``mid`` in two ``PeriodicGrid`` views whose private ``_stencil`` lends
 them to ``krf_rhs`` / ``gkrf_rhs``; the rate array receives 2u, then the
-result, so a step allocates no array.  A grid built by the caller has no
-``_stencil``, so the public functions return fresh arrays.
+result, so a midpoint step allocates no array.  The ETDRK4 path lends
+the same way through one view of the current stage's grid.  A grid built
+by the caller has no ``_stencil``, so the public functions return fresh
+arrays.
 
 ``lambda_eigen`` seeks the lowest eigenpair of -4 lap + V by shifted
 inverse iteration from the shift min(V) - 1, below the spectrum, with a
@@ -199,17 +205,20 @@ def laplacian(grid: PeriodicGrid) -> np.ndarray:
 
 
 def _check_one_plus(x: np.ndarray, floor: float, what: str) -> None:
-    """Raise PositivityError if the factor 1 + x reaches the floor.
+    """Raise PositivityError if the factor 1 + x reaches the floor or is NaN.
 
     fl(1 + x) is monotone in x, so 1 + min(x) is exactly min(1 + x); the
-    factor array is built only on the error path, to name the node.
+    factor array is built only on the error path, to name the node.  A NaN
+    makes min(x) NaN and fails the comparison, and argmin then names the
+    first NaN node.
     """
-    if 1.0 + x.min() <= floor:
+    if not 1.0 + x.min() > floor:
         factor = 1.0 + x
         node = np.unravel_index(int(np.argmin(factor)), factor.shape)
         node, value = tuple(int(k) for k in node), float(factor[node])
-        raise PositivityError(f"{what} = {value:.3e} <= {floor:.1e} at node {node}",
-                              node=node, value=value)
+        message = (f"{what} is NaN" if np.isnan(value)
+                   else f"{what} = {value:.3e} <= {floor:.1e}")
+        raise PositivityError(f"{message} at node {node}", node=node, value=value)
 
 
 def krf_rhs(grid: PeriodicGrid, floor: float = ADMISSIBILITY_FLOOR) -> np.ndarray:
@@ -257,18 +266,30 @@ class PdeTrajectory:
 
 def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
                   steps: int = 1000, rhs=krf_rhs,
-                  stop_sup_rate: float | None = None) -> PdeTrajectory:
-    """Explicit midpoint RK2 on du/dt = rhs(u).
+                  stop_sup_rate: float | None = None,
+                  method: str = "midpoint") -> PdeTrajectory:
+    """Integrate du/dt = rhs(u) by explicit midpoint RK2 or by ETDRK4.
 
-    dt defaults to 0.2 h^2 with h the smallest active spacing; a warning
-    is issued above the h^2/4 comfort zone.  Each state, the initial and
-    the final one included, is recorded once: sup and inf of the rate and
-    the oscillation of u.  When ``stop_sup_rate`` is given the run ends
-    as soon as sup |du/dt| falls below it.
+    ``method="midpoint"`` (the default) takes 2 right-hand sides per step;
+    dt defaults to 0.2 h^2 with h the smallest active spacing, and a
+    warning is issued above the h^2/4 comfort zone.  ``method="etdrk4"``
+    takes 4 per step, treats the stiff part lap(u)/2 exactly and has no
+    parabolic step bound: dt defaults to 10 h^2 and no warning is issued.
+    It is fourth order in dt itself, not in dt / h^2: 10 h^2 is about 0.1
+    at N = 64, but 1.5 at N = 16, where the default step is coarse.
+
+    Each state, the initial and the final one included, is recorded once:
+    sup and inf of the rate and the oscillation of u, so ``len(times)`` is
+    ``steps_taken + 1``.  When ``stop_sup_rate`` is given the run ends as
+    soon as sup |du/dt| falls below it.
 
     The first kernel result in each call of ``rhs`` lands in an array the
     integrator reuses, so it is valid only until the next call.
     """
+    if method == "etdrk4":
+        return _etdrk4_integrate(grid, dt, steps, rhs, stop_sup_rate)
+    if method != "midpoint":
+        raise ValueError(f"unknown method {method!r}; use 'midpoint' or 'etdrk4'")
     h = grid.min_active_spacing()
     if dt is None:
         dt = 0.2 * h * h
@@ -310,6 +331,131 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
         times=times[:n], sup_rate=sups[:n], inf_rate=infs[:n], osc=oscs[:n],
         final=grid.with_values(u), dt=dt, steps_taken=k, stopped_early=k < steps,
         rhs_evals=2 * k + 1)
+
+
+# points on the half circle that the phi-functions are averaged over
+_CONTOUR_POINTS = 32
+
+
+def _half_laplacian_symbol(grid: PeriodicGrid) -> np.ndarray:
+    """Eigenvalues of lap_h / 2 on the ``rfft2`` frequencies: the sum over
+    the active axes of -(2 / h_a^2) sin^2(pi k / N_a)."""
+    N, M = grid.shape
+    symbol = np.zeros((N, M // 2 + 1))
+    for axis in (0, 1):
+        n = grid.shape[axis]
+        if n > 1:
+            k = np.arange(symbol.shape[axis])
+            k = np.minimum(k, n - k)   # k and n - k get equal bits, as u is real
+            h = grid.spacing(axis)
+            term = -(2.0 / (h * h)) * np.sin(np.pi * k / n) ** 2
+            symbol = symbol + (term[:, None] if axis == 0 else term)
+    return symbol
+
+
+def _etdrk4_coefficients(z: np.ndarray, dt: float):
+    """ETDRK4 weights for the real array z = dt L (Cox & Matthews 2002).
+
+    Returns exp(z), exp(z/2) and Q, f1, f2, f3 of Kassam & Trefethen (2005),
+    whose phi-function quotients are averaged over points of the unit
+    circle about each z: that avoids the cancellation of the closed forms
+    near z = 0, and for real z the upper half circle's real part suffices.
+    The sums run one contour point at a time, so that no temporary is
+    larger than z.
+    """
+    sums = np.zeros((4, *z.shape))
+    for j in range(_CONTOUR_POINTS):
+        w = z + np.exp(1j * np.pi * (j + 0.5) / _CONTOUR_POINTS)
+        ew, w2 = np.exp(w), w * w
+        w3 = w2 * w
+        sums[0] += ((np.exp(0.5 * w) - 1.0) / w).real
+        sums[1] += ((-4.0 - w + ew * (4.0 - 3.0 * w + w2)) / w3).real
+        sums[2] += ((2.0 + w + ew * (w - 2.0)) / w3).real
+        sums[3] += ((-4.0 - 3.0 * w - w2 + ew * (4.0 - w)) / w3).real
+    return (np.exp(z), np.exp(0.5 * z), *((dt / _CONTOUR_POINTS) * sums))
+
+
+def _etdrk4_integrate(grid, dt, steps, rhs, stop_sup_rate) -> PdeTrajectory:
+    """ETDRK4 on du/dt = L u + N(u), with L = lap_h / 2 and N = rhs - L.
+
+    The state is kept as its ``rfft2`` transform, where L is diagonal and
+    is applied exactly.  Each of the four stages of a step turns its state
+    back into a grid and calls ``rhs`` on it, so every stage is checked
+    for positivity; N-hat is rfft2(rhs(u)) - L u-hat.  The first stage of
+    a step is its start state, whose rate gives the monitors.
+
+    The transforms are rfft2 / irfft2 written as their two 1-d passes, bit
+    for bit, so that they and the stage arithmetic fill arrays allocated
+    once per run: a step allocates no array.
+    """
+    h = grid.min_active_spacing()
+    if dt is None:
+        dt = 10.0 * h * h
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    N, M = grid.shape
+    L = _half_laplacian_symbol(grid)
+    E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(dt * L, dt)
+    f2 *= 2.0   # it weighs na + nb twice
+
+    rate_buffer, dxx, dyy = (np.empty((N, M)) for _ in range(3))
+    u = grid.values.copy()   # the grid of the current stage
+    stage = PeriodicGrid(u, grid.period)
+    stage._stencil = _Stencil(stage, (dxx, dyy))
+    # spectral state, the stage states a and b-then-c, N-hat at the four
+    # stages, a product and the transforms' intermediate
+    v, a, bc, nv, na, nb, nc, prod, half = (np.empty(L.shape, complex)
+                                            for _ in range(9))
+
+    def nonlinear(state, out):
+        """N-hat at the stage whose grid is in u, into out; returns the rate."""
+        stage._stencil.lent = rate_buffer
+        rate = rhs(stage)
+        np.fft.fft(np.fft.rfft(rate, axis=1, out=half), axis=0, out=out)
+        np.subtract(out, np.multiply(L, state, prod), out)
+        return rate
+
+    def set_stage(state):
+        np.fft.irfft(np.fft.ifft(state, axis=0, out=half), n=M, axis=1, out=u)
+
+    def combine(out, coeff, state, weight, n_hat):
+        """out = coeff * state + weight * n_hat."""
+        np.add(np.multiply(coeff, state, out), np.multiply(weight, n_hat, prod), out)
+
+    times, sups, infs, oscs = (np.empty(max(steps, 0) + 1) for _ in range(4))
+    np.fft.fft(np.fft.rfft(u, axis=1, out=half), axis=0, out=v)
+    t = 0.0
+    k = 0
+    while True:
+        rate = nonlinear(v, nv)
+        sup, inf = float(rate.max()), float(rate.min())
+        times[k], sups[k], infs[k] = t, sup, inf
+        oscs[k] = float(u.max() - u.min())
+        if k >= steps or (stop_sup_rate is not None
+                          and max(abs(sup), abs(inf)) < stop_sup_rate):
+            break
+        combine(a, E2, v, Q, nv)                      # a = E2 v + Q nv
+        set_stage(a)
+        nonlinear(a, na)
+        combine(bc, E2, v, Q, na)                     # b = E2 v + Q na
+        set_stage(bc)
+        nonlinear(bc, nb)
+        np.subtract(np.multiply(nb, 2.0, half), nv, half)
+        combine(bc, E2, a, Q, half)                   # c = E2 a + Q (2 nb - nv)
+        set_stage(bc)
+        nonlinear(bc, nc)
+        combine(v, E, v, f1, nv)                      # v = E v + f1 nv
+        np.add(v, np.multiply(f2, np.add(na, nb, half), half), v)   # + 2 f2 (na + nb)
+        np.add(v, np.multiply(f3, nc, half), v)       # + f3 nc
+        set_stage(v)
+        t += dt
+        k += 1
+
+    n = k + 1
+    return PdeTrajectory(
+        times=times[:n], sup_rate=sups[:n], inf_rate=infs[:n], osc=oscs[:n],
+        final=grid.with_values(u), dt=dt, steps_taken=k, stopped_early=k < steps,
+        rhs_evals=4 * k + 1)
 
 
 # ---------------------------------------------------------------------------

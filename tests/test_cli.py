@@ -255,3 +255,29 @@ def test_every_scenario_keeps_the_output_contract(tmp_path):
             for csvfile, column in uses:
                 header = (outdir / csvfile).read_text().split("\n", 1)[0]
                 assert len(header.split(",")) >= int(column), (script, csvfile)
+
+
+def test_torus_scenarios_report_what_the_integrator_did(tmp_path):
+    assert run_many(["torus-krf", "torus-gkrf", "sphere"], SMOKE_OVERRIDES,
+                    str(tmp_path)) == 0
+    h = 2.0 * np.pi / 16
+    for name, steps, stopped in (("torus-krf", None, "true"),
+                                 ("torus-gkrf", 160, "false")):
+        lines = (tmp_path / name / "report.txt").read_text().splitlines()
+        facts = dict(line.split(" = ", 1) for line in lines[3:8])
+        assert list(facts) == ["method", "dt", "steps_taken", "rhs_evals",
+                               "stopped_early"]
+        assert facts["method"] == "etdrk4"
+        assert float(facts["dt"]) == 10.0 * h * h
+        taken = int(facts["steps_taken"])
+        assert steps is None or taken == steps
+        assert int(facts["rhs_evals"]) == 4 * taken + 1
+        assert facts["stopped_early"] == stopped
+        rows = (tmp_path / name / "monitors.csv").read_text().splitlines()
+        assert len(rows) == taken + 2   # header plus every state once
+        assert lines[8].startswith("check_")
+    # a scenario with no facts keeps its report as it was
+    lines = (tmp_path / "sphere" / "report.txt").read_text().splitlines()
+    assert [line.split(" = ")[0] for line in lines[:3]] == ["scenario", "wall_time",
+                                                           "passed"]
+    assert all(line.startswith(("check_", "output_")) for line in lines[3:])

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from grflab.pde import (ADMISSIBILITY_FLOOR, DEFAULT_PERIOD, PdeTrajectory,
-                        PeriodicGrid, PositivityError, _operator_matrix, gkrf_rhs,
+                        PeriodicGrid, PositivityError, _half_laplacian_symbol,
+                        _operator_matrix, gkrf_rhs,
                         grid_to_csv, krf_rhs, lambda_eigen, laplacian,
                         pde_integrate, second_difference)
 
@@ -271,17 +273,36 @@ def test_factor_exactly_at_floor_raises(values, rhs, factor):
     rhs(PeriodicGrid(values), floor=np.nextafter(lowest, -np.inf))
 
 
-@pytest.mark.parametrize("rhs, ref", [(krf_rhs, roll_krf), (gkrf_rhs, roll_gkrf)])
-def test_nan_input_behaves_as_roll_form(rhs, ref):
-    # a NaN hides the floor test, as np.min(factor) <= floor is then false
+@pytest.mark.parametrize("rhs, what", [(krf_rhs, "1 + lap(u)/2"),
+                                       (gkrf_rhs, "1 + u_xx/2")], ids=["krf", "gkrf"])
+def test_nan_input_raises_positivity_error(rhs, what):
+    # the roll form's np.min(factor) <= floor is false for NaN and let a
+    # NaN grid through; the kernels name the first NaN node instead.  The
+    # NaN at (3, 5) reaches (2, 5) first in C order.
     for amplitude in (0.1, 3.0):
         values = sine_grid(amplitude).values
         values[3, 5] = np.nan
-        with np.errstate(invalid="ignore"):
-            got = outcome(rhs, PeriodicGrid(values))
-            want = outcome(ref, values, DEFAULT_PERIOD)
-        assert_same_outcome(got, want)
-        assert np.isnan(got).sum() == np.isnan(want).sum() > 0
+        with pytest.raises(PositivityError) as info:
+            rhs(PeriodicGrid(values))
+        assert str(info.value) == f"{what} is NaN at node (2, 5)"
+        assert info.value.node == (2, 5) and np.isnan(info.value.value)
+
+
+def test_nan_in_the_y_factor_alone_is_flagged():
+    # a degenerate x-axis keeps 1 + u_xx/2 = 1, so only the y-factor sees it
+    values = PeriodicGrid.from_function(lambda X, Y: 0.1 * np.sin(Y), 1, 16).values
+    values[0, 7] = np.nan
+    with pytest.raises(PositivityError) as info:
+        gkrf_rhs(PeriodicGrid(values))
+    assert str(info.value) == "1 - u_yy/2 is NaN at node (0, 6)"
+
+
+def test_nan_grid_stops_either_integrator():
+    values = sine_grid(0.1).values
+    values[3, 5] = np.nan
+    for method in ("midpoint", "etdrk4"):
+        with pytest.raises(PositivityError):
+            pde_integrate(PeriodicGrid(values), steps=5, method=method)
 
 
 def test_mixed_rhs_spectral_hand_value():
@@ -396,6 +417,164 @@ def test_mixed_flow_oscillation_decays():
     traj = pde_integrate(sine_grid(0.1, 16), steps=2000, rhs=gkrf_rhs)
     assert traj.osc[-1] < 1e-6
     assert traj.osc[-1] < traj.osc[0]
+
+
+# ---------------------------------------------------------------------------
+# ETDRK4
+# ---------------------------------------------------------------------------
+
+# spacing^2 of the 64-point grid the torus scenarios run on
+H64_SQ = (DEFAULT_PERIOD / 64) ** 2
+
+
+def smooth_grid(seed, N, M, strength):
+    """Random modes |k_x|, |k_y| <= 2 scaled to max |lap(u)/2| = strength,
+    the size of the nonlinearity log(1 + x) - x; the scenarios' 0.1 sin X
+    sin Y has strength 0.1."""
+    rng = np.random.default_rng(seed)
+    modes = [(a, b) for a in range(3) for b in range(-2, 3) if a or b]
+    c = rng.standard_normal(len(modes))
+    phase = rng.uniform(0.0, 2.0 * np.pi, len(modes))
+    g = PeriodicGrid.from_function(
+        lambda X, Y: sum(ci * np.cos(a * X + b * Y + p)
+                         for ci, (a, b), p in zip(c, modes, phase)), N, M)
+    return g.with_values(g.values * (strength / np.max(np.abs(0.5 * laplacian(g)))))
+
+
+def relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def assert_monotone_monitors(traj, tol=1e-10):
+    assert np.max(np.diff(traj.sup_rate)) <= tol
+    assert np.min(np.diff(traj.inf_rate)) >= -tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([(16, 16), (32, 32), (64, 64), (16, 40), (48, 32),
+                              (32, 1), (1, 64)]),
+       strength=st.floats(0.01, 0.1), steps=st.integers(1, 4),
+       rhs=st.sampled_from([krf_rhs, gkrf_rhs]), seed=st.integers(0, 2 ** 32 - 1))
+def test_etdrk4_agrees_with_fine_midpoint(shape, strength, steps, rhs, seed):
+    # The step error of both methods depends on dt, not on dt / h^2: on
+    # every grid ETDRK4 takes 5 h^2 and the reference midpoint 0.05 h^2 of
+    # the 64-point grid.  (At N = 16, midpoint at 0.05 h^2 of its own grid
+    # is off by 3e-5; at 10 h^2 of the 64-point grid, ETDRK4 is off by up
+    # to 1.8e-6 on this data, its fourth-order truncation error.)
+    g = smooth_grid(seed, *shape, strength)
+    traj = pde_integrate(g, dt=5.0 * H64_SQ, steps=steps, rhs=rhs, method="etdrk4")
+    ref = pde_integrate(g, dt=0.05 * H64_SQ, steps=100 * steps, rhs=rhs)
+    assert traj.times[-1] == pytest.approx(ref.times[-1], rel=1e-12)
+    assert relative_gap(traj.final.values, ref.final.values) <= 1e-6
+    rate_scale = max(np.max(np.abs(ref.sup_rate)), np.max(np.abs(ref.inf_rate)))
+    for got, want in ((traj.sup_rate, ref.sup_rate[::100]),
+                      (traj.inf_rate, ref.inf_rate[::100])):
+        assert np.max(np.abs(got - want)) <= 1e-6 * rate_scale
+    assert_monotone_monitors(traj)
+    # the maximum principle also holds at the default step, 10 h^2
+    assert_monotone_monitors(pde_integrate(g, steps=steps, rhs=rhs, method="etdrk4"))
+
+
+@pytest.mark.parametrize("rhs", [krf_rhs, gkrf_rhs])
+def test_etdrk4_on_scenario_data_at_the_default_step(rhs):
+    # 0.1 sin X sin Y at N = 64, as the torus scenarios run it, over 20
+    # default steps of 10 h^2 against 4000 midpoint steps of 0.05 h^2
+    g = sine_grid(0.1, 64)
+    traj = pde_integrate(g, steps=20, rhs=rhs, method="etdrk4")
+    assert traj.dt == 10.0 * g.h * g.h
+    ref = pde_integrate(g, dt=0.05 * g.h ** 2, steps=4000, rhs=rhs)
+    assert relative_gap(traj.final.values, ref.final.values) <= 1e-6
+    rate_scale = max(np.max(np.abs(ref.sup_rate)), np.max(np.abs(ref.inf_rate)))
+    for got, want in ((traj.sup_rate, ref.sup_rate[::200]),
+                      (traj.inf_rate, ref.inf_rate[::200]),
+                      (traj.osc, ref.osc[::200])):
+        assert np.max(np.abs(got - want)) <= 1e-6 * max(rate_scale, np.max(np.abs(want)))
+    assert_monotone_monitors(traj)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7])
+@pytest.mark.parametrize("rhs", [krf_rhs, gkrf_rhs])
+def test_etdrk4_counts(steps, rhs):
+    calls = []
+
+    def counted(grid):
+        calls.append(1)
+        return rhs(grid)
+
+    g = sine_grid(0.1, 16)
+    traj = pde_integrate(g, steps=steps, rhs=counted, method="etdrk4")
+    assert traj.steps_taken == steps and not traj.stopped_early
+    assert len(traj.times) == len(traj.sup_rate) == len(traj.osc) == steps + 1
+    assert traj.rhs_evals == len(calls) == 4 * steps + 1
+    assert np.array_equal(traj.times, np.cumsum([0.0] + steps * [traj.dt]))
+    if steps == 0:
+        assert np.array_equal(traj.final.values, g.values)
+
+
+def test_etdrk4_stop_records_the_final_state_once():
+    g = sine_grid(0.1, 64)
+    calls = []
+
+    def counted(grid):
+        calls.append(1)
+        return krf_rhs(grid)
+
+    traj = pde_integrate(g, steps=20000, rhs=counted, stop_sup_rate=1e-6,
+                         method="etdrk4")
+    assert traj.stopped_early and traj.steps_taken == 120
+    assert len(traj.times) == traj.steps_taken + 1
+    assert np.all(np.diff(traj.times) > 0)
+    assert traj.rhs_evals == len(calls) == 4 * traj.steps_taken + 1
+    last = np.maximum(np.abs(traj.sup_rate), np.abs(traj.inf_rate))
+    assert last[-1] < 1e-6 <= last[-2]
+    # the monitors of the last row are those of the final grid
+    rate = krf_rhs(traj.final)
+    assert (rate.max(), rate.min()) == (traj.sup_rate[-1], traj.inf_rate[-1])
+    assert np.ptp(traj.final.values) == traj.osc[-1]
+
+
+def test_etdrk4_stage_off_the_cone_raises():
+    # admissible at the start (min factor 0.11), but the third stage of the
+    # first step leaves the cone
+    g = sine_grid(0.9, 16)
+    assert 1.0 + 0.5 * np.min(laplacian(g)) > 0.1
+    calls = []
+
+    def counted(grid):
+        calls.append(1)
+        return krf_rhs(grid)
+
+    with pytest.raises(PositivityError) as info:
+        pde_integrate(g, steps=5, rhs=counted, method="etdrk4")
+    assert len(calls) == 4
+    assert info.value.value <= ADMISSIBILITY_FLOOR
+    assert str(info.value).startswith("1 + lap(u)/2 = ")
+
+
+def test_etdrk4_leaves_input_untouched_and_does_not_warn():
+    g = sine_grid(0.1, 16, 24)
+    before = g.values.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = pde_integrate(g, steps=10, rhs=gkrf_rhs, method="etdrk4")
+    h = g.min_active_spacing()
+    assert traj.dt == 10.0 * h * h
+    assert np.array_equal(g.values, before)
+    assert not np.shares_memory(traj.final.values, g.values)
+
+
+def test_unknown_method_is_rejected():
+    with pytest.raises(ValueError, match="unknown method"):
+        pde_integrate(sine_grid(0.1, 16), steps=1, method="rk4")
+
+
+def test_half_laplacian_symbol_diagonalizes_the_stencil():
+    rng = np.random.default_rng(5)
+    for shape, period in (((16, 24), DEFAULT_PERIOD), ((8, 1), 3.0), ((1, 12), 9.0)):
+        g = PeriodicGrid(rng.standard_normal(shape), period)
+        symbol = _half_laplacian_symbol(g)
+        got = np.fft.irfft2(symbol * np.fft.rfft2(g.values), s=shape)
+        assert np.max(np.abs(got - 0.5 * laplacian(g))) <= 1e-12 * np.max(np.abs(laplacian(g)))
 
 
 def test_trajectory_csv(tmp_path):

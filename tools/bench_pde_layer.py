@@ -1,13 +1,18 @@
-"""Layer timing for the torus PDE: one right-hand side, one RK2 step and
-one ground-state solve.
+"""Layer timing for the torus PDE: one right-hand side, one RK2 step, a
+run of each time stepper and one ground-state solve.
 
 Times ``krf_rhs`` / ``gkrf_rhs`` called on a public grid, and one step of
 ``pde_integrate`` with each, at N = 32, 64, 128 and 256, and counts the
-right-hand-side evaluations per step.  Times one ``lambda_eigen`` solve and
-the assembly of its sparse operator for fixed random, cos-well and
-double-well potentials at N = 8, 12, 16, 32 and 64, and counts the LU
-factorizations and LU solves of one untimed ground-state solve by
-wrapping ``scipy.sparse.linalg.splu``.  Wall times are medians of repeats
+right-hand-side evaluations per step.  Runs each method of
+``pde_integrate`` (midpoint at its default 0.2 h^2, ETDRK4 at its default
+10 h^2) over one simulated time per N and reports right-hand-side
+evaluations and wall time per unit of simulated time; at N = 64 it also
+reports each run's relative error against midpoint at 0.05 h^2 (a
+package without ``method`` gets midpoint rows only).  Times one
+``lambda_eigen`` solve and the assembly of its sparse operator for fixed
+random, cos-well and double-well potentials at N = 8, 12, 16, 32 and 64,
+and counts the LU factorizations and LU solves of one untimed
+ground-state solve by wrapping ``scipy.sparse.linalg.splu``.  Wall times are medians of repeats
 and are not gates; the counts are deterministic.
 
     python3 tools/bench_pde_layer.py --label change
@@ -16,13 +21,16 @@ and are not gates; the counts are deterministic.
 Each run merges its reading into ``--out`` (default ``BENCH_pde.json``)
 under its label, so two checkouts measured by the same script land in one
 file; when both ``parent`` and ``change`` are present the file also gets
-the speed-ups parent / change per step and per ground-state solve.
+the speed-ups parent / change per step and per ground-state solve, and
+the wall time per unit of simulated time of the parent's midpoint over
+the change's fastest method.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import json
 import os
 import platform
@@ -38,6 +46,11 @@ SIZES = (32, 64, 128, 256)
 # steps per timed integrate call (about 20-60 ms each); a right-hand-side
 # sample times half as many calls
 STEPS = {32: 400, 64: 200, 128: 60, 256: 20}
+# ETDRK4 steps of 10 h^2 per run, so each run covers 10 h^2 times this
+# (midpoint takes 50 steps of 0.2 h^2 for each)
+RUN_STEPS = {32: 10, 64: 10, 128: 5, 256: 2}
+DEFAULT_DT = {"midpoint": 0.2, "etdrk4": 10.0}   # in units of h^2
+ERROR_SIZE = 64
 GROUND_SIZES = (8, 12, 16, 32, 64)
 FAMILIES = ("random", "cos_wells", "double_wells")
 # ground-state solves per timed sample (about 10-60 ms each)
@@ -122,13 +135,18 @@ def measure_ground_states(pde, repeats: int) -> dict:
     return out
 
 
+def flow_grid(pde, N: int):
+    """The N x N initial grid of every step and run row."""
+    return pde.PeriodicGrid.from_function(
+        lambda X, Y: 0.1 * np.sin(X) * np.sin(Y) + 0.05 * np.cos(2 * Y), N)
+
+
 def measure_steps(pde, repeats: int) -> dict:
     out = {}
     for name in ("krf", "gkrf"):
         rhs = getattr(pde, f"{name}_rhs")
         for N in SIZES:
-            grid = pde.PeriodicGrid.from_function(
-                lambda X, Y: 0.1 * np.sin(X) * np.sin(Y) + 0.05 * np.cos(2 * Y), N)
+            grid = flow_grid(pde, N)
             steps = STEPS[N]
             calls = [0]
 
@@ -147,6 +165,51 @@ def measure_steps(pde, repeats: int) -> dict:
                 "rhs_evals": calls[0],
                 "rhs_evals_per_step": calls[0] / steps,
             }
+    return out
+
+
+def measure_runs(pde, repeats: int) -> dict:
+    """One row per rhs, method and N: a run over T = 10 h^2 RUN_STEPS[N]."""
+    methods = (("midpoint", "etdrk4")
+               if "method" in inspect.signature(pde.pde_integrate).parameters
+               else ("midpoint",))
+    out = {}
+    for name in ("krf", "gkrf"):
+        rhs = getattr(pde, f"{name}_rhs")
+        for N in SIZES:
+            grid = flow_grid(pde, N)
+            h2 = grid.h * grid.h
+            reference = None
+            if N == ERROR_SIZE:
+                fine = pde.pde_integrate(grid, dt=0.05 * h2, steps=200 * RUN_STEPS[N],
+                                         rhs=rhs).final.values
+                reference = (fine, float(np.max(np.abs(fine))))
+            for method in methods:
+                steps = RUN_STEPS[N] * round(10.0 / DEFAULT_DT[method])
+                kwargs = {"method": method} if method != "midpoint" else {}
+                calls = [0]
+
+                def counted(g, rhs=rhs):
+                    calls[0] += 1
+                    return rhs(g)
+
+                traj = pde.pde_integrate(grid, steps=steps, rhs=counted, **kwargs)
+                sim_time = float(traj.times[-1])
+                run_s = _median_s(lambda: pde.pde_integrate(
+                    grid, steps=steps, rhs=rhs, **kwargs), repeats)
+                row = {
+                    "dt": traj.dt,
+                    "steps": steps,
+                    "sim_time": sim_time,
+                    "rhs_evals": calls[0],
+                    "rhs_evals_per_time": calls[0] / sim_time,
+                    "wall_s_per_time": run_s / sim_time,
+                }
+                if reference is not None:
+                    fine, scale = reference
+                    row["rel_error_vs_fine_midpoint"] = float(
+                        np.max(np.abs(traj.final.values - fine)) / scale)
+                out[f"run_{name}_{method}_N{N}"] = row
     return out
 
 
@@ -170,6 +233,7 @@ def main(argv=None) -> int:
         "cpus": os.cpu_count(),
         "repeats": args.repeats,
         "layers": {**measure_steps(pde, args.repeats),
+                   **measure_runs(pde, args.repeats),
                    **measure_ground_states(pde, args.repeats)},
     }
     path = Path(args.out)
@@ -182,9 +246,23 @@ def main(argv=None) -> int:
             data[f"{field}_speedup"] = {
                 k: before[k][f"{field}_us"] / after[k][f"{field}_us"]
                 for k in after if k in before and f"{field}_us" in after[k]}
+        data["run_speedup"] = {}
+        for name in ("krf", "gkrf"):
+            for N in SIZES:
+                base = before.get(f"run_{name}_midpoint_N{N}")
+                runs = [after[key]["wall_s_per_time"] for key in
+                        (f"run_{name}_{method}_N{N}" for method in DEFAULT_DT)
+                        if key in after]
+                if base and runs:
+                    data["run_speedup"][f"{name}_N{N}"] = base["wall_s_per_time"] / min(runs)
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
     for key, row in reading["layers"].items():
-        if "step_us" in row:
+        if "sim_time" in row:
+            error = row.get("rel_error_vs_fine_midpoint")
+            print(f"{args.label} {key}: {row['rhs_evals_per_time']:.1f} rhs per unit time, "
+                  f"{row['wall_s_per_time']:.3f} s per unit time"
+                  + ("" if error is None else f", error {error:.2e}"))
+        elif "step_us" in row:
             print(f"{args.label} {key}: rhs {row['rhs_us']:.1f} us, "
                   f"step {row['step_us']:.1f} us, "
                   f"{row['rhs_evals_per_step']:.4f} rhs/step")
