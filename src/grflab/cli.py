@@ -33,6 +33,11 @@ class ConfigError(Exception):
     """Bad scenario name, parameter, or manifest."""
 
 
+# what a run reports as a numerical failure, exit code 3
+_NUMERICAL_FAILURES = (pde.PositivityError, flow.FlowSingularity, FloatingPointError,
+                       np.linalg.LinAlgError, ValueError)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -238,25 +243,24 @@ def _scenario_hopf_bismut_flat(p, rep):
         fh.write(data)
 
 
-# the torus scenarios' time stepper; see pde.pde_integrate
-_TORUS_METHOD = "etdrk4"
-
-
-def _record_pde_run(rep, traj) -> None:
-    rep.facts.update(method=_TORUS_METHOD, dt=traj.dt, steps_taken=traj.steps_taken,
-                     rhs_evals=traj.rhs_evals, stopped_early=traj.stopped_early)
-
-
-def _scenario_torus_krf(p, rep):
+def _torus_run(p, rep, rhs):
+    """Flow amplitude sin X sin Y at ETDRK4's step 10 h^2 and record the run."""
     N, amp = int(p["N"]), p["amplitude"]
     grid = pde.PeriodicGrid.from_function(
         lambda X, Y: amp * np.sin(X) * np.sin(Y), N)
-    t0 = time.time()
-    traj = pde.pde_integrate(grid, steps=int(p["max_steps"]),
-                             stop_sup_rate=p["rate_target"], method=_TORUS_METHOD)
-    wall = time.time() - t0
-    _record_pde_run(rep, traj)
+    h = grid.min_active_spacing()
+    traj = pde.pde_integrate(grid, dt=10.0 * h * h, steps=int(p["max_steps"]), rhs=rhs,
+                             stop_sup_rate=p.get("rate_target"))
+    rep.facts.update(method=traj.method, dt=traj.dt, steps_taken=traj.steps_taken,
+                     rhs_evals=traj.rhs_evals, stopped_early=traj.stopped_early)
     traj.to_csv(rep.output("monitors.csv"))
+    return traj
+
+
+def _scenario_torus_krf(p, rep):
+    t0 = time.time()
+    traj = _torus_run(p, rep, pde.krf_rhs)
+    wall = time.time() - t0
     rep.check("sup_rate_monotone_violation",
               float(np.max(np.diff(traj.sup_rate))), 1e-10)
     rep.check("inf_rate_monotone_violation",
@@ -267,13 +271,7 @@ def _scenario_torus_krf(p, rep):
 
 
 def _scenario_torus_gkrf(p, rep):
-    N, amp = int(p["N"]), p["amplitude"]
-    grid = pde.PeriodicGrid.from_function(
-        lambda X, Y: amp * np.sin(X) * np.sin(Y), N)
-    traj = pde.pde_integrate(grid, steps=int(p["max_steps"]), rhs=pde.gkrf_rhs,
-                             method=_TORUS_METHOD)
-    _record_pde_run(rep, traj)
-    traj.to_csv(rep.output("monitors.csv"))
+    traj = _torus_run(p, rep, pde.gkrf_rhs)
     rep.check("final_oscillation", float(traj.osc[-1]), p["tol"])
     rep.check("sup_rate_monotone_violation",
               float(np.max(np.diff(traj.sup_rate))), 1e-10)
@@ -446,8 +444,7 @@ def run_many(names, per_scenario_overrides=None, out_root=None) -> int:
             rep = run_scenario(name, overrides, out_root)
         except ConfigError:
             raise
-        except (pde.PositivityError, flow.FlowSingularity, FloatingPointError,
-                np.linalg.LinAlgError, ValueError) as exc:
+        except _NUMERICAL_FAILURES as exc:
             print(f"[{name}] numerical failure: {exc}", file=sys.stderr)
             worst = max(worst, 3)
             continue
@@ -531,8 +528,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (pde.PositivityError, flow.FlowSingularity, FloatingPointError,
-            np.linalg.LinAlgError, ValueError) as exc:
+    except _NUMERICAL_FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -219,8 +219,8 @@ def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTraj
         dt = config.dt
         if config.adaptive:
             halvings = 0
-            while (np.linalg.norm(dg, 2) * dt
-                   > config.adaptive_fraction * eigs[0]) and halvings < 24:
+            speed = np.linalg.norm(dg, 2)   # an SVD
+            while speed * dt > config.adaptive_fraction * eigs[0] and halvings < 24:
                 dt *= 0.5
                 halvings += 1
         try:

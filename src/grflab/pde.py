@@ -10,24 +10,24 @@ Two pointwise flows on a doubly periodic grid:
 
 Both satisfy a maximum principle: sup du/dt is nonincreasing and
 inf du/dt is nondecreasing along the flow, which the integrator records
-at every step.  ``pde_integrate`` steps by explicit midpoint RK2 (the
-default), under the parabolic step restriction dt ~ h^2, or by ETDRK4
-(Cox & Matthews 2002), which splits rhs(u) = lap(u)/2 + N(u), treats the
-stiff part lap(u)/2 exactly in Fourier space and takes steps about 50x
-longer.  Both linearize to du/dt = lap(u)/2, whose five-point symbol is
-diagonal in the discrete Fourier basis.
+at every step.  Both linearize to du/dt = lap(u)/2, whose five-point
+symbol is diagonal in the discrete Fourier basis, so they are parabolic
+and their stable explicit step scales with h^2.  ``pde_integrate`` reads
+the stepper off dt: explicit midpoint RK2 up to the bound h^2/4, and
+above it ETDRK4 (Cox & Matthews 2002), which splits rhs(u) = lap(u)/2 +
+N(u) and treats the stiff part exactly in Fourier space.  One loop
+records every state of either stepper.
 
 The stencil is bit-identical to the five-point ``np.roll`` form
 ``(roll(u, 1) + roll(u, -1) - 2u) / h^2`` but uses slice adds into
-buffers.  Buffer ownership: ``pde_integrate`` copies the input grid once
-and owns the state ``u``, the midpoint ``mid``, the monitor arrays, one
-stencil buffer pair (u_xx, u_yy) and one rate array.  It wraps ``u`` and
-``mid`` in two ``PeriodicGrid`` views whose private ``_stencil`` lends
-them to ``krf_rhs`` / ``gkrf_rhs``; the rate array receives 2u, then the
-result, so a midpoint step allocates no array.  The ETDRK4 path lends
-the same way through one view of the current stage's grid.  A grid built
-by the caller has no ``_stencil``, so the public functions return fresh
-arrays.
+buffers.  Buffer ownership: a stepper copies the input grid once into the
+state ``u`` and owns its work arrays, one stencil buffer pair (u_xx,
+u_yy) and one rate array.  Each grid it evaluates, ``u`` and the
+midpoint or the ETDRK4 stage, is a ``PeriodicGrid`` view whose private
+``_stencil`` lends these to ``krf_rhs`` / ``gkrf_rhs``; the rate array
+receives 2u, then the result, so a step allocates no array.  A grid
+built by the caller has no ``_stencil``, so the public functions return
+fresh arrays.
 
 ``lambda_eigen`` seeks the lowest eigenpair of -4 lap + V by shifted
 inverse iteration from the shift min(V) - 1, below the spectrum, with a
@@ -36,7 +36,6 @@ Rayleigh-quotient refinement that can lock onto an excited state.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,7 +133,7 @@ class _Stencil:
 
     Holds the buffers u_xx and u_yy and, per active axis, the slice views
     its adds read and write, so that an evaluation only calls ufuncs.
-    ``pde_integrate`` builds one per state array, lets them share the
+    A time stepper builds one per grid it evaluates, lets them share the
     buffers and lends its rate array through ``lent`` before each
     right-hand side; a public call builds a throwaway one.
 
@@ -184,7 +183,7 @@ class _Stencil:
 
 
 def _second_differences(grid: PeriodicGrid):
-    """(out, u_xx, u_yy) in the arrays pde_integrate lent the grid, or in
+    """(out, u_xx, u_yy) in the arrays a time stepper lent the grid, or in
     fresh ones; ``out`` holds 2u.  A lent ``out`` is taken, not shared."""
     stencil = grid._stencil or _Stencil(grid)
     out, stencil.lent = stencil.lent, None
@@ -254,6 +253,12 @@ class PdeTrajectory:
     stopped_early: bool
     rhs_evals: int = 0
 
+    @property
+    def method(self) -> str:
+        """The time stepper that ran, "midpoint" or "etdrk4", which
+        ``pde_integrate`` picks from dt and the grid spacing."""
+        return _method(self.final, self.dt)
+
     def to_csv(self, path) -> None:
         """Write t, sup_rate, inf_rate, sup_abs_rate, osc per state."""
         sup_abs, inf_abs = np.abs(self.sup_rate), np.abs(self.inf_rate)
@@ -266,17 +271,15 @@ class PdeTrajectory:
 
 def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
                   steps: int = 1000, rhs=krf_rhs,
-                  stop_sup_rate: float | None = None,
-                  method: str = "midpoint") -> PdeTrajectory:
-    """Integrate du/dt = rhs(u) by explicit midpoint RK2 or by ETDRK4.
+                  stop_sup_rate: float | None = None) -> PdeTrajectory:
+    """Integrate du/dt = rhs(u) with the time stepper that dt calls for.
 
-    ``method="midpoint"`` (the default) takes 2 right-hand sides per step;
-    dt defaults to 0.2 h^2 with h the smallest active spacing, and a
-    warning is issued above the h^2/4 comfort zone.  ``method="etdrk4"``
-    takes 4 per step, treats the stiff part lap(u)/2 exactly and has no
-    parabolic step bound: dt defaults to 10 h^2 and no warning is issued.
-    It is fourth order in dt itself, not in dt / h^2: 10 h^2 is about 0.1
-    at N = 64, but 1.5 at N = 16, where the default step is coarse.
+    dt defaults to 0.2 h^2, h the smallest active spacing.  Up to the
+    stability bound h^2/4 it takes explicit midpoint RK2 steps of 2
+    right-hand sides; above it, ETDRK4 steps of 4, which have no step
+    bound and are fourth order in dt itself, not in dt / h^2 (10 h^2 is
+    about 0.1 at N = 64, but 1.5 at N = 16).  The trajectory's ``method``
+    names the one that ran.
 
     Each state, the initial and the final one included, is recorded once:
     sup and inf of the rate and the oscillation of u, so ``len(times)`` is
@@ -286,43 +289,25 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
     The first kernel result in each call of ``rhs`` lands in an array the
     integrator reuses, so it is valid only until the next call.
     """
-    if method == "etdrk4":
-        return _etdrk4_integrate(grid, dt, steps, rhs, stop_sup_rate)
-    if method != "midpoint":
-        raise ValueError(f"unknown method {method!r}; use 'midpoint' or 'etdrk4'")
     h = grid.min_active_spacing()
     if dt is None:
         dt = 0.2 * h * h
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if dt > 0.25 * h * h:
-        warnings.warn(f"dt = {dt:.3e} above the parabolic step bound "
-                      f"h^2/4 = {0.25 * h * h:.3e}", stacklevel=2)
-
-    mid, dxx, dyy, rate_buffer = (np.empty(grid.shape) for _ in range(4))
-    # u outlives the call as the final grid.  Allocating it after the work
-    # buffers keeps the heap less fragmented: allocated first, it raised
-    # the peak RSS of a long mixed torus run by up to 5 %.
-    u = grid.values.copy()
-    here, there = PeriodicGrid(u, grid.period), PeriodicGrid(mid, grid.period)
-    here._stencil = _Stencil(here, (dxx, dyy))
-    there._stencil = _Stencil(there, (dxx, dyy))
+    midpoint = _method(grid, dt) == "midpoint"
+    u, rate_of_u, advance = (_midpoint if midpoint else _etdrk4)(grid, dt, rhs)
     times, sups, infs, oscs = (np.empty(max(steps, 0) + 1) for _ in range(4))
-    half_dt = 0.5 * dt
     t = 0.0
     k = 0
     while True:
-        here._stencil.lent = rate_buffer   # the last rate is dead
-        rate = rhs(here)
+        rate = rate_of_u()
         sup, inf = float(rate.max()), float(rate.min())
         times[k], sups[k], infs[k] = t, sup, inf
         oscs[k] = float(u.max() - u.min())
         if k >= steps or (stop_sup_rate is not None
                           and max(abs(sup), abs(inf)) < stop_sup_rate):
             break
-        np.add(u, np.multiply(rate, half_dt, mid), mid)
-        there._stencil.lent = rate_buffer
-        np.add(u, np.multiply(rhs(there), dt, mid), u)
+        advance(rate)
         t += dt
         k += 1
 
@@ -330,7 +315,43 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
     return PdeTrajectory(
         times=times[:n], sup_rate=sups[:n], inf_rate=infs[:n], osc=oscs[:n],
         final=grid.with_values(u), dt=dt, steps_taken=k, stopped_early=k < steps,
-        rhs_evals=2 * k + 1)
+        rhs_evals=(2 if midpoint else 4) * k + 1)
+
+
+def _method(grid: PeriodicGrid, dt: float) -> str:
+    """The stepper for dt: midpoint up to its stability bound h^2/4, where
+    it is the cheaper one, and ETDRK4 above it."""
+    h = grid.min_active_spacing()
+    return "midpoint" if dt <= 0.25 * h * h else "etdrk4"
+
+
+def _lent_rhs(values: np.ndarray, period: float, buffers, rate_buffer, rhs):
+    """rhs of the grid over values, lending the kernels the buffers."""
+    view = PeriodicGrid(values, period)
+    view._stencil = _Stencil(view, buffers)
+
+    def evaluate():
+        view._stencil.lent = rate_buffer   # the last rate is dead
+        return rhs(view)
+    return evaluate
+
+
+def _midpoint(grid: PeriodicGrid, dt: float, rhs):
+    """Explicit midpoint RK2: (u, rate of u, advance(rate)).  A step
+    allocates no array."""
+    mid, dxx, dyy, rate_buffer = (np.empty(grid.shape) for _ in range(4))
+    # u outlives the call as the final grid.  Allocating it after the work
+    # buffers keeps the heap less fragmented: allocated first, it raised
+    # the peak RSS of a long mixed torus run by up to 5 %.
+    u = grid.values.copy()
+    rate_of_u = _lent_rhs(u, grid.period, (dxx, dyy), rate_buffer, rhs)
+    rate_of_mid = _lent_rhs(mid, grid.period, (dxx, dyy), rate_buffer, rhs)
+    half_dt = 0.5 * dt
+
+    def advance(rate):
+        np.add(u, np.multiply(rate, half_dt, mid), mid)
+        np.add(u, np.multiply(rate_of_mid(), dt, mid), u)
+    return u, rate_of_u, advance
 
 
 # points on the half circle that the phi-functions are averaged over
@@ -375,87 +396,65 @@ def _etdrk4_coefficients(z: np.ndarray, dt: float):
     return (np.exp(z), np.exp(0.5 * z), *((dt / _CONTOUR_POINTS) * sums))
 
 
-def _etdrk4_integrate(grid, dt, steps, rhs, stop_sup_rate) -> PdeTrajectory:
-    """ETDRK4 on du/dt = L u + N(u), with L = lap_h / 2 and N = rhs - L.
+def _etdrk4(grid: PeriodicGrid, dt: float, rhs):
+    """ETDRK4 on du/dt = L u + N(u), with L = lap_h / 2 and N = rhs - L:
+    (u, rate of u, advance(rate)).
 
     The state is kept as its ``rfft2`` transform, where L is diagonal and
     is applied exactly.  Each of the four stages of a step turns its state
     back into a grid and calls ``rhs`` on it, so every stage is checked
     for positivity; N-hat is rfft2(rhs(u)) - L u-hat.  The first stage of
-    a step is its start state, whose rate gives the monitors.
+    a step is its start state, whose rate the integrator has recorded.
 
     The transforms are rfft2 / irfft2 written as their two 1-d passes, bit
     for bit, so that they and the stage arithmetic fill arrays allocated
     once per run: a step allocates no array.
     """
-    h = grid.min_active_spacing()
-    if dt is None:
-        dt = 10.0 * h * h
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    N, M = grid.shape
+    M = grid.shape[1]
     L = _half_laplacian_symbol(grid)
     E, E2, Q, f1, f2, f3 = _etdrk4_coefficients(dt * L, dt)
     f2 *= 2.0   # it weighs na + nb twice
 
-    rate_buffer, dxx, dyy = (np.empty((N, M)) for _ in range(3))
+    rate_buffer, dxx, dyy = (np.empty(grid.shape) for _ in range(3))
     u = grid.values.copy()   # the grid of the current stage
-    stage = PeriodicGrid(u, grid.period)
-    stage._stencil = _Stencil(stage, (dxx, dyy))
+    rate_of_u = _lent_rhs(u, grid.period, (dxx, dyy), rate_buffer, rhs)
     # spectral state, the stage states a and b-then-c, N-hat at the four
     # stages, a product and the transforms' intermediate
     v, a, bc, nv, na, nb, nc, prod, half = (np.empty(L.shape, complex)
                                             for _ in range(9))
 
-    def nonlinear(state, out):
-        """N-hat at the stage whose grid is in u, into out; returns the rate."""
-        stage._stencil.lent = rate_buffer
-        rate = rhs(stage)
+    def nonlinear(rate, state, out):
+        """N-hat of the rate at the stage whose spectral state is given."""
         np.fft.fft(np.fft.rfft(rate, axis=1, out=half), axis=0, out=out)
         np.subtract(out, np.multiply(L, state, prod), out)
-        return rate
 
     def set_stage(state):
         np.fft.irfft(np.fft.ifft(state, axis=0, out=half), n=M, axis=1, out=u)
+
+    def stage(state, out):
+        set_stage(state)
+        nonlinear(rate_of_u(), state, out)
 
     def combine(out, coeff, state, weight, n_hat):
         """out = coeff * state + weight * n_hat."""
         np.add(np.multiply(coeff, state, out), np.multiply(weight, n_hat, prod), out)
 
-    times, sups, infs, oscs = (np.empty(max(steps, 0) + 1) for _ in range(4))
-    np.fft.fft(np.fft.rfft(u, axis=1, out=half), axis=0, out=v)
-    t = 0.0
-    k = 0
-    while True:
-        rate = nonlinear(v, nv)
-        sup, inf = float(rate.max()), float(rate.min())
-        times[k], sups[k], infs[k] = t, sup, inf
-        oscs[k] = float(u.max() - u.min())
-        if k >= steps or (stop_sup_rate is not None
-                          and max(abs(sup), abs(inf)) < stop_sup_rate):
-            break
+    def advance(rate):
+        nonlinear(rate, v, nv)
         combine(a, E2, v, Q, nv)                      # a = E2 v + Q nv
-        set_stage(a)
-        nonlinear(a, na)
+        stage(a, na)
         combine(bc, E2, v, Q, na)                     # b = E2 v + Q na
-        set_stage(bc)
-        nonlinear(bc, nb)
+        stage(bc, nb)
         np.subtract(np.multiply(nb, 2.0, half), nv, half)
         combine(bc, E2, a, Q, half)                   # c = E2 a + Q (2 nb - nv)
-        set_stage(bc)
-        nonlinear(bc, nc)
+        stage(bc, nc)
         combine(v, E, v, f1, nv)                      # v = E v + f1 nv
         np.add(v, np.multiply(f2, np.add(na, nb, half), half), v)   # + 2 f2 (na + nb)
         np.add(v, np.multiply(f3, nc, half), v)       # + f3 nc
         set_stage(v)
-        t += dt
-        k += 1
 
-    n = k + 1
-    return PdeTrajectory(
-        times=times[:n], sup_rate=sups[:n], inf_rate=infs[:n], osc=oscs[:n],
-        final=grid.with_values(u), dt=dt, steps_taken=k, stopped_early=k < steps,
-        rhs_evals=4 * k + 1)
+    np.fft.fft(np.fft.rfft(u, axis=1, out=half), axis=0, out=v)
+    return u, rate_of_u, advance
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,23 @@ def test_adaptive_stepping_tracks_collapse():
     assert np.linalg.eigvalsh(traj.metrics[-1])[0] > 0.0
 
 
+def test_adaptive_stepping_takes_one_two_norm_per_step(monkeypatch):
+    norm, two_norms = np.linalg.norm, []
+
+    def counted(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            two_norms.append(x)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    traj = integrate(milnor_su2_frame(), FlowState(np.eye(3)),
+                     FlowConfig(dt=1e-3, steps=400, fixed_point_tol=0.0,
+                                adaptive=True))
+    assert traj.status == "curvature_blowup"
+    assert np.min(np.diff(traj.times)) < 1e-3 / 16   # the run halves its step
+    assert len(two_norms) == traj.steps_taken
+
+
 def test_trajectory_recording_and_csv(tmp_path):
     fr = milnor_su2_frame()
     st = FlowState(np.eye(3), ThreeForm.basis(3, 0, 1, 2, 1.5))

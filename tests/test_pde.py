@@ -300,9 +300,10 @@ def test_nan_in_the_y_factor_alone_is_flagged():
 def test_nan_grid_stops_either_integrator():
     values = sine_grid(0.1).values
     values[3, 5] = np.nan
-    for method in ("midpoint", "etdrk4"):
+    h = PeriodicGrid(values).h
+    for dt in (None, 10.0 * h * h):   # midpoint, ETDRK4
         with pytest.raises(PositivityError):
-            pde_integrate(PeriodicGrid(values), steps=5, method=method)
+            pde_integrate(PeriodicGrid(values), dt=dt, steps=5)
 
 
 def test_mixed_rhs_spectral_hand_value():
@@ -398,12 +399,6 @@ def test_integrate_leaves_input_untouched():
     assert not np.shares_memory(traj.final.values, g.values)
 
 
-def test_large_step_warns():
-    g = sine_grid(0.1, 16)
-    with pytest.warns(UserWarning):
-        pde_integrate(g, dt=g.h ** 2, steps=2)
-
-
 def test_monitors_shrink_and_flow_converges():
     traj = pde_integrate(sine_grid(0.1, 16), steps=4000, stop_sup_rate=1e-8)
     assert traj.stopped_early
@@ -462,7 +457,8 @@ def test_etdrk4_agrees_with_fine_midpoint(shape, strength, steps, rhs, seed):
     # is off by 3e-5; at 10 h^2 of the 64-point grid, ETDRK4 is off by up
     # to 1.8e-6 on this data, its fourth-order truncation error.)
     g = smooth_grid(seed, *shape, strength)
-    traj = pde_integrate(g, dt=5.0 * H64_SQ, steps=steps, rhs=rhs, method="etdrk4")
+    traj = pde_integrate(g, dt=5.0 * H64_SQ, steps=steps, rhs=rhs)
+    assert traj.method == "etdrk4"
     ref = pde_integrate(g, dt=0.05 * H64_SQ, steps=100 * steps, rhs=rhs)
     assert traj.times[-1] == pytest.approx(ref.times[-1], rel=1e-12)
     assert relative_gap(traj.final.values, ref.final.values) <= 1e-6
@@ -471,17 +467,18 @@ def test_etdrk4_agrees_with_fine_midpoint(shape, strength, steps, rhs, seed):
                       (traj.inf_rate, ref.inf_rate[::100])):
         assert np.max(np.abs(got - want)) <= 1e-6 * rate_scale
     assert_monotone_monitors(traj)
-    # the maximum principle also holds at the default step, 10 h^2
-    assert_monotone_monitors(pde_integrate(g, steps=steps, rhs=rhs, method="etdrk4"))
+    # the maximum principle also holds at the scenarios' step, 10 h^2
+    h = g.min_active_spacing()
+    assert_monotone_monitors(pde_integrate(g, dt=10.0 * h * h, steps=steps, rhs=rhs))
 
 
 @pytest.mark.parametrize("rhs", [krf_rhs, gkrf_rhs])
 def test_etdrk4_on_scenario_data_at_the_default_step(rhs):
     # 0.1 sin X sin Y at N = 64, as the torus scenarios run it, over 20
-    # default steps of 10 h^2 against 4000 midpoint steps of 0.05 h^2
+    # steps of 10 h^2 against 4000 midpoint steps of 0.05 h^2
     g = sine_grid(0.1, 64)
-    traj = pde_integrate(g, steps=20, rhs=rhs, method="etdrk4")
-    assert traj.dt == 10.0 * g.h * g.h
+    traj = pde_integrate(g, dt=10.0 * g.h * g.h, steps=20, rhs=rhs)
+    assert traj.method == "etdrk4"
     ref = pde_integrate(g, dt=0.05 * g.h ** 2, steps=4000, rhs=rhs)
     assert relative_gap(traj.final.values, ref.final.values) <= 1e-6
     rate_scale = max(np.max(np.abs(ref.sup_rate)), np.max(np.abs(ref.inf_rate)))
@@ -502,7 +499,7 @@ def test_etdrk4_counts(steps, rhs):
         return rhs(grid)
 
     g = sine_grid(0.1, 16)
-    traj = pde_integrate(g, steps=steps, rhs=counted, method="etdrk4")
+    traj = pde_integrate(g, dt=10.0 * g.h * g.h, steps=steps, rhs=counted)
     assert traj.steps_taken == steps and not traj.stopped_early
     assert len(traj.times) == len(traj.sup_rate) == len(traj.osc) == steps + 1
     assert traj.rhs_evals == len(calls) == 4 * steps + 1
@@ -519,8 +516,8 @@ def test_etdrk4_stop_records_the_final_state_once():
         calls.append(1)
         return krf_rhs(grid)
 
-    traj = pde_integrate(g, steps=20000, rhs=counted, stop_sup_rate=1e-6,
-                         method="etdrk4")
+    traj = pde_integrate(g, dt=10.0 * g.h * g.h, steps=20000, rhs=counted,
+                         stop_sup_rate=1e-6)
     assert traj.stopped_early and traj.steps_taken == 120
     assert len(traj.times) == traj.steps_taken + 1
     assert np.all(np.diff(traj.times) > 0)
@@ -545,7 +542,7 @@ def test_etdrk4_stage_off_the_cone_raises():
         return krf_rhs(grid)
 
     with pytest.raises(PositivityError) as info:
-        pde_integrate(g, steps=5, rhs=counted, method="etdrk4")
+        pde_integrate(g, dt=10.0 * g.h * g.h, steps=5, rhs=counted)
     assert len(calls) == 4
     assert info.value.value <= ADMISSIBILITY_FLOOR
     assert str(info.value).startswith("1 + lap(u)/2 = ")
@@ -554,18 +551,44 @@ def test_etdrk4_stage_off_the_cone_raises():
 def test_etdrk4_leaves_input_untouched_and_does_not_warn():
     g = sine_grid(0.1, 16, 24)
     before = g.values.copy()
+    h = g.min_active_spacing()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        traj = pde_integrate(g, steps=10, rhs=gkrf_rhs, method="etdrk4")
-    h = g.min_active_spacing()
-    assert traj.dt == 10.0 * h * h
+        traj = pde_integrate(g, dt=10.0 * h * h, steps=10, rhs=gkrf_rhs)
+    assert traj.method == "etdrk4"
     assert np.array_equal(g.values, before)
     assert not np.shares_memory(traj.final.values, g.values)
 
 
-def test_unknown_method_is_rejected():
-    with pytest.raises(ValueError, match="unknown method"):
-        pde_integrate(sine_grid(0.1, 16), steps=1, method="rk4")
+@pytest.mark.parametrize("rhs, ref", [(krf_rhs, roll_krf), (gkrf_rhs, roll_gkrf)])
+def test_stepper_switches_at_the_stability_bound(rhs, ref):
+    # up to h^2/4 midpoint runs, bit for bit; one ulp above, ETDRK4
+    g = PeriodicGrid.from_function(
+        lambda X, Y: 0.1 * np.sin(X) * np.sin(Y) + 0.05 * np.cos(2 * Y), 16, 24)
+    h = g.min_active_spacing()
+    bound = 0.25 * h * h
+    traj = pde_integrate(g, dt=bound, steps=40, rhs=rhs)
+    assert traj.method == "midpoint" and traj.rhs_evals == 81
+    (times, sups, infs, oscs), final = roll_integrate(
+        g.values, g.period, bound, 40, ref)
+    for got, want in ((traj.times, times), (traj.sup_rate, sups),
+                      (traj.inf_rate, infs), (traj.osc, oscs),
+                      (traj.final.values, final)):
+        assert np.array_equal(got, want)
+    above = pde_integrate(g, dt=np.nextafter(bound, 1), steps=40, rhs=rhs)
+    assert above.method == "etdrk4" and above.rhs_evals == 161
+    # midpoint at its bound is off by 6e-5 / 9e-5 (krf / gkrf), ETDRK4 by 2e-7
+    fine = pde_integrate(g, dt=bound / 20, steps=800, rhs=rhs)
+    assert relative_gap(above.final.values, fine.final.values) <= 1e-6
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.2, 0.25, 0.26, 1.0, 10.0, 100.0])
+def test_no_step_size_warns(scale):
+    g = sine_grid(0.1, 16)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = pde_integrate(g, dt=scale * g.h * g.h, steps=3)
+    assert traj.steps_taken == 3
 
 
 def test_half_laplacian_symbol_diagonalizes_the_stencil():

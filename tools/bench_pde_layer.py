@@ -3,12 +3,14 @@ run of each time stepper and one ground-state solve.
 
 Times ``krf_rhs`` / ``gkrf_rhs`` called on a public grid, and one step of
 ``pde_integrate`` with each, at N = 32, 64, 128 and 256, and counts the
-right-hand-side evaluations per step.  Runs each method of
-``pde_integrate`` (midpoint at its default 0.2 h^2, ETDRK4 at its default
-10 h^2) over one simulated time per N and reports right-hand-side
-evaluations and wall time per unit of simulated time; at N = 64 it also
-reports each run's relative error against midpoint at 0.05 h^2 (a
-package without ``method`` gets midpoint rows only).  Times one
+right-hand-side evaluations per step.  Runs each time stepper of
+``pde_integrate`` (midpoint at its default 0.2 h^2, ETDRK4 at 10 h^2) over
+one simulated time per N and reports right-hand-side evaluations and wall
+time per unit of simulated time; at N = 64 it also reports each run's
+relative error against midpoint at 0.05 h^2.  A package whose
+``pde_integrate`` still takes ``method`` is also passed
+``method="etdrk4"``; one with neither that parameter nor a trajectory
+``method`` predates ETDRK4 and gets midpoint rows only.  Times one
 ``lambda_eigen`` solve and the assembly of its sparse operator for fixed
 random, cos-well and double-well potentials at N = 8, 12, 16, 32 and 64,
 and counts the LU factorizations and LU solves of one untimed
@@ -49,7 +51,7 @@ STEPS = {32: 400, 64: 200, 128: 60, 256: 20}
 # ETDRK4 steps of 10 h^2 per run, so each run covers 10 h^2 times this
 # (midpoint takes 50 steps of 0.2 h^2 for each)
 RUN_STEPS = {32: 10, 64: 10, 128: 5, 256: 2}
-DEFAULT_DT = {"midpoint": 0.2, "etdrk4": 10.0}   # in units of h^2
+DEFAULT_DT = {"midpoint": 0.2, "etdrk4": 10.0}   # each stepper's rows, in h^2
 ERROR_SIZE = 64
 GROUND_SIZES = (8, 12, 16, 32, 64)
 FAMILIES = ("random", "cos_wells", "double_wells")
@@ -170,8 +172,11 @@ def measure_steps(pde, repeats: int) -> dict:
 
 def measure_runs(pde, repeats: int) -> dict:
     """One row per rhs, method and N: a run over T = 10 h^2 RUN_STEPS[N]."""
+    # dt picks ETDRK4; earlier packages also need ``method``, and those
+    # older than ETDRK4 have neither it nor a trajectory ``method``
+    has_method = "method" in inspect.signature(pde.pde_integrate).parameters
     methods = (("midpoint", "etdrk4")
-               if "method" in inspect.signature(pde.pde_integrate).parameters
+               if has_method or hasattr(pde.PdeTrajectory, "method")
                else ("midpoint",))
     out = {}
     for name in ("krf", "gkrf"):
@@ -186,7 +191,12 @@ def measure_runs(pde, repeats: int) -> dict:
                 reference = (fine, float(np.max(np.abs(fine))))
             for method in methods:
                 steps = RUN_STEPS[N] * round(10.0 / DEFAULT_DT[method])
-                kwargs = {"method": method} if method != "midpoint" else {}
+                kwargs = {}
+                if method == "etdrk4":
+                    h = grid.min_active_spacing()
+                    kwargs["dt"] = DEFAULT_DT[method] * h * h
+                    if has_method:
+                        kwargs["method"] = method
                 calls = [0]
 
                 def counted(g, rhs=rhs):
