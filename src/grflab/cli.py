@@ -420,6 +420,12 @@ def run_scenario(name: str, overrides: dict | None = None,
         if "tol" not in params:
             raise ConfigError(f"scenario {name!r} has no primary tolerance")
         params["tol"] = tol
+    for key, value in params.items():
+        if not np.isfinite(value):
+            raise ConfigError(f"scenario {name!r} needs a finite {key}, got {value!r}")
+    for key in ("dt", "T"):
+        if key in params and not params[key] > 0:
+            raise ConfigError(f"scenario {name!r} needs {key} > 0, got {params[key]!r}")
     out_root = out_root or os.environ.get("GRFLAB_OUT", "runs")
     outdir = os.path.join(out_root, name)
     os.makedirs(outdir, exist_ok=True)

@@ -181,6 +181,9 @@ def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTraj
     t = state.t
     traj = FlowTrajectory(frame=frame)
 
+    def stage(_, pair):
+        return _rhs_with_diagnostics(frame, *pair, config.lam)[:2]
+
     def record(rhs_norm, scalar, h_norm2):
         traj.times.append(t)
         traj.metrics.append(g.copy())
@@ -224,20 +227,12 @@ def integrate(frame: LieFrame, state: FlowState, config: FlowConfig) -> FlowTraj
                 dt *= 0.5
                 halvings += 1
         try:
-            # classical RK4 on the stacked pair; the monitor is read at k1 only
-            k1g, k1h = dg, dH
-            k2g, k2h, _ = _rhs_with_diagnostics(frame, g + 0.5 * dt * k1g,
-                                                H + 0.5 * dt * k1h, config.lam)
-            k3g, k3h, _ = _rhs_with_diagnostics(frame, g + 0.5 * dt * k2g,
-                                                H + 0.5 * dt * k2h, config.lam)
-            k4g, k4h, _ = _rhs_with_diagnostics(frame, g + dt * k3g,
-                                                H + dt * k3h, config.lam)
+            # RK4 on the pair (g, H) from the k1 above, which alone forms the monitor
+            g, H = _rk4_from_k1(stage, t, (g, H), dt, (dg, dH))
         except FlowSingularity as exc:
             traj.status = "metric_floor"
             traj.detail = f"stage failure: {exc}"
             break
-        g = g + (dt / 6.0) * (k1g + 2 * k2g + 2 * k3g + k4g)
-        H = H + (dt / 6.0) * (k1h + 2 * k2h + 2 * k3h + k4h)
         t += dt
         traj.steps_taken += 1
 
@@ -268,9 +263,13 @@ def rk4_step(f, t: float, y: tuple, dt: float) -> tuple:
     is bitwise equal to it.  Python float arithmetic raises
     ZeroDivisionError or OverflowError where numpy would return inf.
     """
+    return _rk4_from_k1(f, t, y, dt, f(t, y))
+
+
+def _rk4_from_k1(f, t: float, y: tuple, dt: float, k1) -> tuple:
+    """The step of :func:`rk4_step` given its first stage k1 = f(t, y)."""
     n = len(y)
     h = 0.5 * dt
-    k1 = f(t, y)
     if len(k1) != n:
         _wrong_length(k1, n)
     k2 = f(t + h, tuple([a + h * b for a, b in zip(y, k1)]))

@@ -274,12 +274,13 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
                   stop_sup_rate: float | None = None) -> PdeTrajectory:
     """Integrate du/dt = rhs(u) with the time stepper that dt calls for.
 
-    dt defaults to 0.2 h^2, h the smallest active spacing.  Up to the
-    stability bound h^2/4 it takes explicit midpoint RK2 steps of 2
-    right-hand sides; above it, ETDRK4 steps of 4, which have no step
-    bound and are fourth order in dt itself, not in dt / h^2 (10 h^2 is
-    about 0.1 at N = 64, but 1.5 at N = 16).  The trajectory's ``method``
-    names the one that ran.
+    dt defaults to 0.2 h^2, h the smallest active spacing; a dt that is
+    not finite and positive raises ValueError.  Up to the stability bound
+    h^2/4 it takes explicit midpoint RK2 steps of 2 right-hand sides;
+    above it, ETDRK4 steps of 4, which have no step bound and are fourth
+    order in dt itself, not in dt / h^2 (10 h^2 is about 0.1 at N = 64,
+    but 1.5 at N = 16).  The trajectory's ``method`` names the one that
+    ran.
 
     Each state, the initial and the final one included, is recorded once:
     sup and inf of the rate and the oscillation of u, so ``len(times)`` is
@@ -292,8 +293,8 @@ def pde_integrate(grid: PeriodicGrid, dt: float | None = None,
     h = grid.min_active_spacing()
     if dt is None:
         dt = 0.2 * h * h
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < np.inf:   # also rejects NaN
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     midpoint = _method(grid, dt) == "midpoint"
     u, rate_of_u, advance = (_midpoint if midpoint else _etdrk4)(grid, dt, rhs)
     times, sups, infs, oscs = (np.empty(max(steps, 0) + 1) for _ in range(4))

@@ -1,5 +1,6 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,20 @@ def test_unknown_parameter_is_config_error(tmp_path):
 def test_non_numeric_override_is_config_error(tmp_path):
     assert main(["--scenario", "sphere", "--set", "dt=fast",
                  "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("scenario, setting", [
+    ("sphere", "dt=0"), ("sphere", "dt=nan"), ("hyperbolic", "T=-1"),
+    ("su2-milnor", "A0=inf")])
+def test_bad_numeric_parameter_is_config_error(tmp_path, capsys, scenario, setting):
+    # dt=0 divided by zero, dt=nan exited 3 and T=-1 ran no step, then failed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--scenario", scenario, "--set", setting,
+                     "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and setting.split("=")[0] in err
+    assert not (tmp_path / scenario).exists()
 
 
 def test_missing_scenario_prints_usage(capsys):

@@ -591,6 +591,22 @@ def test_no_step_size_warns(scale):
     assert traj.steps_taken == 3
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0, -1e-3])
+def test_dt_that_is_not_finite_and_positive_is_rejected(dt):
+    # a NaN or infinite dt used to reach ETDRK4, warn, then blame the grid
+    calls = []
+
+    def counted(g):
+        calls.append(1)
+        return krf_rhs(g)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dt must be finite and positive") as info:
+            pde_integrate(sine_grid(0.1, 16), dt=dt, steps=3, rhs=counted)
+    assert type(info.value) is ValueError and calls == []
+
+
 def test_half_laplacian_symbol_diagonalizes_the_stencil():
     rng = np.random.default_rng(5)
     for shape, period in (((16, 24), DEFAULT_PERIOD), ((8, 1), 3.0), ((1, 12), 9.0)):

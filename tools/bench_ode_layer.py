@@ -15,24 +15,21 @@ deterministic.
     python3 tools/bench_ode_layer.py --src ../parent/src --label parent
 
 Each run merges its reading into ``--out`` (default ``BENCH_ode.json``)
-under its label, so two checkouts measured by the same script land in one
-file; when both ``parent`` and ``change`` are present the file also gets
-the speed-ups parent / change of every timed row.
+under its label, through ``layer_harness.py``; when both ``parent`` and
+``change`` are present the file also gets the speed-ups parent / change
+of every timed row.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import json
-import os
-import platform
-import statistics
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import layer_harness  # noqa: E402
+from layer_harness import counting, median_s  # noqa: E402
 
 # steps per timed rk4_path call (about 10-40 ms each)
 STEPS = 2000
@@ -41,32 +38,12 @@ SECTIONS = 6
 TIMED = ("step_us", "check_us", "call_us", "report_us")
 
 
-def _median_s(fn, repeats: int, number: int = 1) -> float:
-    """Median over ``repeats`` samples of the time per call of ``fn``,
-    each sample timing ``number`` calls in a row."""
-    fn()  # warm caches and the allocator
-    samples = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        samples.append((time.perf_counter() - t0) / number)
-    return statistics.median(samples)
-
-
 def scenario_odes(flow, tduality) -> dict:
     """name -> (f, y0, dt) at the CLI defaults, with the right-hand sides
-    written as the measured tree's CLI writes them: tuples where the
-    ansatz helpers return tuples, arrays where they return arrays."""
-    if isinstance(flow.neck_ode_rhs((1.0, 1.0)), tuple):
-        def scalar(v):
-            return (v,)
-    else:
-        def scalar(v):
-            return np.array([v])
+    written as the CLI writes them."""
     return {
-        "sphere": (lambda t, y: scalar(flow.sphere_ode_rhs(y[0], 2.0)), [1.0], 1e-3),
-        "hyperbolic": (lambda t, y: scalar(flow.hyperbolic_ode_rhs(y[0])), [1.0], 1e-3),
+        "sphere": (lambda t, y: (flow.sphere_ode_rhs(y[0], 2.0),), [1.0], 1e-3),
+        "hyperbolic": (lambda t, y: (flow.hyperbolic_ode_rhs(y[0]),), [1.0], 1e-3),
         "neck": (lambda t, y: flow.neck_ode_rhs(y), [1.0, 1.0], 1e-4),
         "su2_milnor": (lambda t, y: flow.milnor_su2_rhs(y, 1.0), [0.3, 0.5, 0.9], 1e-3),
         "circle_bundle": (lambda t, y: flow.circle_bundle_rhs(y[0], y[1], 1.0),
@@ -87,7 +64,7 @@ def measure_odes(flow, tduality, repeats: int) -> dict:
             return f(t, y)
 
         flow.rk4_path(counted, y0, dt, STEPS)
-        step_s = _median_s(lambda: flow.rk4_path(f, y0, dt, STEPS), repeats) / STEPS
+        step_s = median_s(lambda: flow.rk4_path(f, y0, dt, STEPS), repeats) / STEPS
         out[f"ode_{name}"] = {
             "step_us": step_s * 1e6,
             "steps": STEPS,
@@ -97,91 +74,55 @@ def measure_odes(flow, tduality, repeats: int) -> dict:
     return out
 
 
-@contextlib.contextmanager
-def counting_allclose():
-    """Count the calls of ``np.allclose`` by code that reaches it through
-    the numpy module."""
-    counts = {"allclose": 0}
-    allclose = np.allclose
-
-    def counted(*args, **kwargs):
-        counts["allclose"] += 1
-        return allclose(*args, **kwargs)
-
-    np.allclose = counted
-    try:
-        yield counts
-    finally:
-        np.allclose = allclose
-
-
 def measure_checks(courant, flow, repeats: int) -> dict:
     out = {}
     for n in THREE_FORM_SIZES:
         a = courant.ThreeForm.basis(n, 0, 1, 2, 1.0).components
         out[f"three_form_n{n}"] = {
-            "check_us": _median_s(lambda: courant.ThreeForm(a), repeats, 500) * 1e6}
+            "check_us": median_s(lambda: courant.ThreeForm(a), repeats, 500) * 1e6}
     frame = courant.milnor_su2_frame()
     g = np.diag([0.3, 0.5, 0.9])
     form = courant.ThreeForm.basis(3, 0, 1, 2, 1.0)
     for kind, H in (("array", form.components), ("form", form)):
-        out[f"lambda_homogeneous_{kind}"] = {"call_us": _median_s(
+        out[f"lambda_homogeneous_{kind}"] = {"call_us": median_s(
             lambda: flow.lambda_homogeneous(frame, g, H), repeats, 200) * 1e6}
 
     rng = np.random.default_rng(0)
     sections = [courant.GeneralizedVector(rng.standard_normal(4), rng.standard_normal(4))
                 for _ in range(SECTIONS)]
     frame4, H4 = courant.su2_r_frame(), courant.ThreeForm.basis(4, 0, 1, 2, -1.0)
-    with counting_allclose() as counts:
+    with counting(np, "allclose") as counts:
         courant.courant_axiom_report(frame4, H4, sections)
     out[f"courant_axiom_report_{SECTIONS}"] = {
-        "report_us": _median_s(lambda: courant.courant_axiom_report(frame4, H4, sections),
-                               repeats) * 1e6,
+        "report_us": median_s(lambda: courant.courant_axiom_report(frame4, H4, sections),
+                              repeats) * 1e6,
         "allclose_fallbacks": counts["allclose"],
     }
     return out
 
 
+def measure(grflab, repeats: int) -> dict:
+    return {**measure_odes(grflab.flow, grflab.tduality, repeats),
+            **measure_checks(grflab.courant, grflab.flow, repeats)}
+
+
+def speedups(before: dict, after: dict) -> dict:
+    return {"speedup": {k: before[k][field] / after[k][field]
+                        for k in after if k in before
+                        for field in TIMED if field in after[k]}}
+
+
+def summary(row: dict) -> str:
+    cells = [f"{field[:-3]} {row[field]:.2f} us" for field in TIMED if field in row]
+    if "rhs_calls_per_step" in row:
+        cells.append(f"{row['rhs_calls_per_step']:.4f} rhs/step")
+    if "allclose_fallbacks" in row:
+        cells.append(f"{row['allclose_fallbacks']} allclose fallbacks")
+    return ", ".join(cells)
+
+
 def main(argv=None) -> int:
-    root = Path(__file__).resolve().parents[1]
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", default=str(root / "src"),
-                    help="directory that holds the grflab package to measure")
-    ap.add_argument("--label", default="change")
-    ap.add_argument("--out", default=str(root / "BENCH_ode.json"))
-    ap.add_argument("--repeats", type=int, default=7)
-    args = ap.parse_args(argv)
-
-    sys.path.insert(0, os.path.abspath(args.src))
-    from grflab import courant, flow, tduality
-
-    reading = {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "repeats": args.repeats,
-        "layers": {**measure_odes(flow, tduality, args.repeats),
-                   **measure_checks(courant, flow, args.repeats)},
-    }
-    path = Path(args.out)
-    data = json.loads(path.read_text()) if path.exists() else {}
-    data.setdefault("readings", {})[args.label] = reading
-    readings = data["readings"]
-    if "parent" in readings and "change" in readings:
-        before, after = readings["parent"]["layers"], readings["change"]["layers"]
-        data["speedup"] = {k: before[k][field] / after[k][field]
-                           for k in after if k in before
-                           for field in TIMED if field in after[k]}
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-    for key, row in reading["layers"].items():
-        cells = [f"{field[:-3]} {row[field]:.2f} us" for field in TIMED if field in row]
-        if "rhs_calls_per_step" in row:
-            cells.append(f"{row['rhs_calls_per_step']:.4f} rhs/step")
-        if "allclose_fallbacks" in row:
-            cells.append(f"{row['allclose_fallbacks']} allclose fallbacks")
-        print(f"{args.label} {key}: " + ", ".join(cells))
-    return 0
+    return layer_harness.main(argv, __doc__, "BENCH_ode.json", measure, speedups, summary)
 
 
 if __name__ == "__main__":
