@@ -426,6 +426,14 @@ def run_scenario(name: str, overrides: dict | None = None,
     for key in ("dt", "T"):
         if key in params and not params[key] > 0:
             raise ConfigError(f"scenario {name!r} needs {key} > 0, got {params[key]!r}")
+    for key in ("trials", "sections", "stride"):
+        if key in params and not params[key] >= 1:
+            raise ConfigError(f"scenario {name!r} needs {key} >= 1, got {params[key]!r}")
+    if "T" in params:   # a run takes round(T / dt) steps, sampled every stride-th
+        steps, least = round(params["T"] / params["dt"]), params.get("stride", 1)
+        if steps < least:
+            raise ConfigError(f"scenario {name!r} takes round(T / dt) = {steps} steps, needs "
+                              f"at least {'stride = ' if 'stride' in params else ''}{least!r}")
     out_root = out_root or os.environ.get("GRFLAB_OUT", "runs")
     outdir = os.path.join(out_root, name)
     os.makedirs(outdir, exist_ok=True)

@@ -521,23 +521,22 @@ def courant_axiom_report(frame: LieFrame, H, sections,
     def br(u, v):
         return dorfman_invariant(frame, u, v, H)
 
+    brs = [[br(u, v) for v in sections] for u in sections]   # each pair once
     jac = 0.0
     pair = 0.0
     symm = 0.0
-    n_triples = 0
-    for a in sections:
-        for b in sections:
-            ab = br(a, b)
-            symm = max(symm, (ab + br(b, a)).sup_norm())
-            for c_sec in sections:
-                n_triples += 1
-                residual = br(a, br(b, c_sec)) - br(ab, c_sec) - br(b, br(a, c_sec))
+    for i, a in enumerate(sections):
+        for j, b in enumerate(sections):
+            ab = brs[i][j]
+            symm = max(symm, (ab + brs[j][i]).sup_norm())
+            for k, c_sec in enumerate(sections):
+                residual = br(a, brs[j][k]) - br(ab, c_sec) - br(b, brs[i][k])
                 jac = max(jac, residual.sup_norm())
                 pair = max(pair, abs(neutral_pair(ab, c_sec)
-                                     + neutral_pair(b, br(a, c_sec))))
+                                     + neutral_pair(b, brs[i][k])))
     return CourantAxiomReport(
         n_sections=len(sections),
-        n_triples=n_triples,
+        n_triples=len(sections) ** 3,
         jacobi_max=jac,
         pairing_derivation_max=pair,
         symmetrization_max=symm,

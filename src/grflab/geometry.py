@@ -86,8 +86,8 @@ class CurvatureTensor:
 @dataclass
 class Curvature:
     """Levi-Civita data of one state (frame, g, H), built by :func:`curvature`:
-    symmetrized Ricci, H2, d*H, R, |H|^2 (the H terms vanish without H) and
-    the blowup monitor |Rm|_g = (R_{ijkl} R^{ijkl})^{1/2}, NaN unless asked."""
+    symmetrized Ricci, H2, d*H, R, |H|^2 (the H terms vanish without H), g^{-1}
+    and the blowup monitor |Rm|_g = (R_{ijkl} R^{ijkl})^{1/2}, NaN unless asked."""
 
     connection: ConnectionCoefficients
     rm: CurvatureTensor
@@ -97,6 +97,7 @@ class Curvature:
     scalar: float
     h_norm2: float
     rm_norm: float
+    ginv: np.ndarray
 
 
 def levi_civita(frame: LieFrame, g, ginv: np.ndarray | None = None) -> ConnectionCoefficients:
@@ -183,7 +184,7 @@ def curvature(frame: LieFrame, g, H: np.ndarray | None = None,
             up = np.einsum("ijkl,ia->jkla", up, ginv)
         rm_norm = float(np.sqrt(abs(np.vdot(rm.lowered, up.transpose(1, 2, 3, 0)))))
     return Curvature(conn, rm, rc, h2, dstar, float(np.vdot(ginv, rc)),
-                     float(np.vdot(ginv, h2)), rm_norm)
+                     float(np.vdot(ginv, h2)), rm_norm, ginv)
 
 
 def ricci(frame: LieFrame, g) -> np.ndarray:
@@ -244,6 +245,11 @@ def divergence(frame: LieFrame, g, S) -> np.ndarray:
 # Bismut connections
 # ---------------------------------------------------------------------------
 
+def _bismut(gamma: np.ndarray, ginv: np.ndarray, Ha: np.ndarray, sign: int):
+    """nabla^{+/-} = Gamma +/- H^sharp / 2 from the Levi-Civita Gamma and g^{-1}."""
+    return ConnectionCoefficients(gamma + sign * 0.5 * np.einsum("kl,ijl->ijk", ginv, Ha))
+
+
 def bismut_connection(frame: LieFrame, g, H, sign: int = +1) -> ConnectionCoefficients:
     """Metric connection with torsion +/-H:
     g(nabla^{+/-}_X Y, Z) = g(nabla_X Y, Z) +/- H(X, Y, Z) / 2."""
@@ -251,8 +257,7 @@ def bismut_connection(frame: LieFrame, g, H, sign: int = +1) -> ConnectionCoeffi
         raise ValueError("sign must be +1 or -1")
     gm = np.asarray(g, dtype=float)
     ginv = np.linalg.inv(gm)
-    return ConnectionCoefficients(levi_civita(frame, gm, ginv).gamma + sign * 0.5
-                                  * np.einsum("kl,ijl->ijk", ginv, as_three_form_array(H)))
+    return _bismut(levi_civita(frame, gm, ginv).gamma, ginv, as_three_form_array(H), sign)
 
 
 def _warn_if_not_closed(frame: LieFrame, Ha: np.ndarray, tol: float = 1e-10) -> None:
@@ -323,10 +328,11 @@ def bianchi_suite(frame: LieFrame, g, H) -> BianchiReport:
     gm = np.asarray(g, dtype=float)
     Ha = as_three_form_array(H)
     _warn_if_not_closed(frame, Ha)
-    ginv = np.linalg.inv(gm)
+    cv = curvature(frame, gm, Ha)
+    gamma, ginv = cv.connection.gamma, cv.ginv
 
-    conn_p = bismut_connection(frame, gm, Ha, +1)
-    conn_m = bismut_connection(frame, gm, Ha, -1)
+    conn_p = _bismut(gamma, ginv, Ha, +1)
+    conn_m = _bismut(gamma, ginv, Ha, -1)
     rp = riemann(frame, gm, conn_p)
     rm = riemann(frame, gm, conn_m)
     pair = float(np.max(np.abs(rp.lowered - rm.lowered.transpose(2, 3, 0, 1))))
@@ -342,9 +348,8 @@ def bianchi_suite(frame: LieFrame, g, H) -> BianchiReport:
 
     first = float(np.max(np.abs(cyc(rp.mixed) - cyc(hh) - cyc(nh))))
 
-    cv = curvature(frame, gm, Ha)
     dstar_up = np.einsum("mn,am,bn->ab", cv.dstar_h, ginv, ginv)
-    lemma = float(np.max(np.abs(divergence(frame, gm, cv.h2)
+    lemma = float(np.max(np.abs(-_codifferential(ginv, gamma, cv.h2)
                                 + np.einsum("ab,iab->i", dstar_up, Ha))))
 
     return BianchiReport(
@@ -402,16 +407,14 @@ def generalized_ricci(frame: LieFrame, g, H,
     Returns (Rc^+, Rc^-).  Without divergence data both reduce to the
     Bismut Ricci traces.
     """
-    gm = np.asarray(g, dtype=float)
     Ha = as_three_form_array(H)
-    cv = curvature(frame, gm, Ha)
+    cv = curvature(frame, g, Ha)
     plus = cv.ricci - 0.25 * cv.h2 - 0.5 * cv.dstar_h
     minus = cv.ricci - 0.25 * cv.h2 + 0.5 * cv.dstar_h
     if div is not None:
-        plus = plus + covariant_derivative(
-            bismut_connection(frame, gm, Ha, +1), div.phi_plus)
-        minus = minus - covariant_derivative(
-            bismut_connection(frame, gm, Ha, -1), div.phi_minus)
+        gamma = cv.connection.gamma
+        plus = plus + covariant_derivative(_bismut(gamma, cv.ginv, Ha, +1), div.phi_plus)
+        minus = minus - covariant_derivative(_bismut(gamma, cv.ginv, Ha, -1), div.phi_minus)
     return plus, minus
 
 
@@ -439,14 +442,12 @@ def generalized_scalar_pair(frame: LieFrame, g, H, div: DivergenceData):
     For divergence data coming from a closed 1-form, S^+ - S^- recovers
     the closed-pair scalar curvature.
     """
-    gm = np.asarray(g, dtype=float)
-    ginv = np.linalg.inv(gm)
-    cv = curvature(frame, gm, as_three_form_array(H))
+    cv = curvature(frame, g, as_three_form_array(H))
     base = cv.scalar - cv.h_norm2 / 12.0
 
     def side(phi, sgn):
-        dstar = float(codifferential(frame, gm, phi))
-        norm2 = float(phi @ ginv @ phi)
+        dstar = float(_codifferential(cv.ginv, cv.connection.gamma, phi))
+        norm2 = float(phi @ cv.ginv @ phi)
         return sgn * 0.5 * (base - sgn * 2.0 * dstar - norm2)
 
     return side(div.phi_plus, +1), side(div.phi_minus, -1)

@@ -33,9 +33,17 @@ def test_non_numeric_override_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("scenario, setting", [
     ("sphere", "dt=0"), ("sphere", "dt=nan"), ("hyperbolic", "T=-1"),
-    ("su2-milnor", "A0=inf")])
+    ("su2-milnor", "A0=inf"),
+    ("sphere", "T=1e-4"), ("hyperbolic", "T=1e-4"), ("su2-milnor", "T=1e-4"),
+    ("product-s3s3", "T=1e-4"), ("hopf-rym", "T=1e-4"), ("hopf-tduality", "T=1e-4"),
+    ("lambda-monotone", "T=1e-4"), ("bianchi-suite", "trials=0"),
+    ("courant-axioms", "sections=0"), ("lambda-monotone", "stride=0"),
+    ("lambda-monotone", "stride=10000")])
 def test_bad_numeric_parameter_is_config_error(tmp_path, capsys, scenario, setting):
-    # dt=0 divided by zero, dt=nan exited 3 and T=-1 ran no step, then failed
+    # dt=0 divided by zero, dt=nan exited 3 and T=-1 ran no step, then failed;
+    # T=1e-4 rounds to zero steps, which failed, crashed or passed unchecked,
+    # zero trials or sections passed unchecked, and a stride of 0 or of more
+    # than the steps taken exited 3
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--scenario", scenario, "--set", setting,

@@ -323,6 +323,55 @@ def test_axiom_report_flags_nonclosed_torsion(rng):
     assert rep.symmetrization_max < 1e-12
 
 
+def frozen_axiom_loop(frame, H, sections):
+    """The report's triple loop as it was before each pair bracket was
+    evaluated once, kept as the parity reference: six brackets per triple
+    and two per pair."""
+    dh_max = float(np.max(np.abs(exterior_d_invariant(frame, H))))
+
+    def br(u, v):
+        return dorfman_invariant(frame, u, v, H)
+
+    jac = pair = symm = 0.0
+    n_triples = 0
+    for a in sections:
+        for b in sections:
+            ab = br(a, b)
+            symm = max(symm, (ab + br(b, a)).sup_norm())
+            for c_sec in sections:
+                n_triples += 1
+                residual = br(a, br(b, c_sec)) - br(ab, c_sec) - br(b, br(a, c_sec))
+                jac = max(jac, residual.sup_norm())
+                pair = max(pair, abs(neutral_pair(ab, c_sec)
+                                     + neutral_pair(b, br(a, c_sec))))
+    return courant.CourantAxiomReport(
+        n_sections=len(sections), n_triples=n_triples, jacobi_max=jac,
+        pairing_derivation_max=pair, symmetrization_max=symm, dh_max=dh_max,
+        h_closed=dh_max <= 1e-12, jacobi_failure_expected=not dh_max <= 1e-12)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("frame, H", [
+    (su2_r_frame(), ThreeForm.basis(4, 0, 1, 2, -1.0)),
+    (aff_r2_frame(), ThreeForm.basis(4, 1, 2, 3, 1.0))], ids=["closed", "dH=-e1234"])
+def test_axiom_report_equals_the_frozen_loop_with_each_pair_bracket_once(
+        rng, monkeypatch, frame, H, m):
+    sections = [GeneralizedVector(rng.standard_normal(4), rng.standard_normal(4))
+                for _ in range(m)]
+    want = frozen_axiom_loop(frame, H, sections)
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return dorfman_invariant(*args)
+
+    monkeypatch.setattr(courant, "dorfman_invariant", counted)
+    got = courant_axiom_report(frame, H, sections)
+    assert calls[0] == m ** 2 + 3 * m ** 3
+    # every field bit for bit: the floats are maxima of absolute values
+    assert [repr(v) for v in vars(got).values()] == [repr(v) for v in vars(want).values()]
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from conftest import rand_3form, rand_spd
+from grflab import geometry
 from grflab.courant import (ThreeForm, aff_r2_frame, direct_sum_frame,
                             milnor_su2_frame, su2_r_frame)
 from grflab.geometry import (DivergenceData, bi_invariant_three_form,
@@ -241,6 +242,28 @@ def test_bianchi_suite_requires_unimodular_frame():
         bianchi_suite(fr, np.eye(4), ThreeForm.zero(4))
 
 
+def test_bianchi_suite_sees_the_torsion_square_at_n6(rng):
+    # cyc H(H(X,Y),Z) vanishes on every 3- and 4-dim test case; on su(2)+su(2)
+    # with a generic closed H the first Bianchi identity needs it
+    fr = KERNEL_FRAMES[6]
+    b = rng.standard_normal((6, 6))
+    H = (oracles.ce_differential(fr.c, b - b.T)
+         + ThreeForm.basis(6, 0, 1, 2, 0.7).components
+         + ThreeForm.basis(6, 3, 4, 5, -1.3).components)
+    g = rand_spd(rng, 6)
+    rep = bianchi_suite(fr, g, H)
+    assert rep.within(1e-10)
+    # the loop oracles: cyc R^+ - cyc (nabla^+ H)^sharp is the H(H) term, O(1)
+    gamma_p = oracles.bismut_connection(fr.c, g, H, +1)
+    nh = np.einsum("ijkm,lm->ijkl", oracles.covariant_derivative_form(gamma_p, H),
+                   np.linalg.inv(g))
+
+    def cyc(t):
+        return t + t.transpose(1, 2, 0, 3) + t.transpose(2, 0, 1, 3)
+
+    assert np.max(np.abs(cyc(oracles.curvature(fr.c, gamma_p)) - cyc(nh))) > 0.1
+
+
 # ---------------------------------------------------------------------------
 # twisted Ricci and scalar curvature
 # ---------------------------------------------------------------------------
@@ -295,6 +318,64 @@ def test_divergence_data_constructors():
     assert dv.phi_plus[3] == 2.0
     z = DivergenceData.zero(4)
     assert np.max(np.abs(z.phi_plus)) == 0.0
+
+
+def test_twisted_ricci_sees_the_bismut_derivative_of_the_dilaton():
+    # g03 = 0.2 keeps phi = -2 e^3 closed, but nabla^+/- phi_+/- no longer vanish
+    frame, g, H, phi = hopf_einstein_pair(1.0, 1.0)
+    g = g.copy()
+    g[0, 3] = g[3, 0] = 0.2
+    Ha = H.components
+    div = DivergenceData.from_covector(phi)
+    rc = oracles.ricci(frame.c, g)
+    base = 0.5 * (rc + rc.T) - 0.25 * oracles.h_squared(g, Ha)
+    half_dstar = 0.5 * oracles.codifferential_via_trace(frame.c, g, Ha)
+    nabla_p, nabla_m = (oracles.covariant_derivative_form(
+        oracles.bismut_connection(frame.c, g, Ha, sign), phi_s)
+        for sign, phi_s in ((+1, div.phi_plus), (-1, div.phi_minus)))
+    assert np.max(np.abs(nabla_p)) > 0.1 and np.max(np.abs(nabla_m)) > 0.1
+    rp, rm = generalized_ricci(frame, g, H, div)
+    assert np.max(np.abs(rp - (base - half_dstar + nabla_p))) < 1e-12
+    assert np.max(np.abs(rm - (base + half_dstar - nabla_m))) < 1e-12
+
+
+def test_scalar_pair_sees_the_dilaton_codifferential():
+    # on the non-unimodular aff(1)+R2 with g = I, phi = e^0 is closed with
+    # d*phi = 1 (both oracle routes) and R = -2
+    frame, g, phi = aff_r2_frame(), np.eye(4), np.array([1.0, 0.0, 0.0, 0.0])
+    H = ThreeForm.zero(4)
+    div = DivergenceData.from_covector(phi)
+    R = oracles.scalar_curvature(frame.c, g)
+    want = []
+    for sgn, phi_s in ((+1, div.phi_plus), (-1, div.phi_minus)):
+        dstar = float(oracles.codifferential_via_trace(frame.c, g, phi_s))
+        assert dstar == pytest.approx(float(oracles.codifferential_via_hodge(
+            frame.c, g, phi_s)), abs=1e-14)
+        want.append(sgn * 0.5 * (R - sgn * 2.0 * dstar - phi_s @ phi_s))
+    sp, sm = generalized_scalar_pair(frame, g, H, div)
+    assert (sp, sm) == pytest.approx((-1.625, 1.625), abs=1e-14)
+    assert (sp, sm) == pytest.approx(tuple(want), abs=1e-14)
+    assert generalized_scalar(frame, g, H, phi) == pytest.approx(-3.25, abs=1e-14)
+
+
+@pytest.mark.parametrize("check", ["bianchi_suite", "generalized_ricci",
+                                   "generalized_scalar_pair"])
+def test_bismut_checkers_invert_g_and_run_koszul_once(monkeypatch, check):
+    frame, g, H, phi = hopf_einstein_pair(2.0, 0.7)
+    div = DivergenceData.from_covector(phi)
+    args = (frame, g, H) if check == "bianchi_suite" else (frame, g, H, div)
+    calls = {"inv": 0, "levi_civita": 0}
+
+    def spy(name, fn):
+        def counted(*a, **k):
+            calls[name] += 1
+            return fn(*a, **k)
+        return counted
+
+    monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+    monkeypatch.setattr(geometry, "levi_civita", spy("levi_civita", geometry.levi_civita))
+    getattr(geometry, check)(*args)
+    assert calls == {"inv": 1, "levi_civita": 1}
 
 
 def test_perturbed_hopf_pair_is_detected():
